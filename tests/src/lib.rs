@@ -40,9 +40,12 @@ pub fn serial_golden_checks_enabled() -> bool {
 /// the gateway's resilient profile (hedging + retry budget). Callers
 /// tweak fields afterwards (e.g. `config.nic.firmware_swap_time`).
 pub fn resilient_nic_config(seed: u64, workers: usize) -> TestbedConfig {
-    let mut config = TestbedConfig::new(BackendKind::Nic)
-        .seed(seed)
-        .workers(workers);
+    resilient_config(BackendKind::Nic, seed, workers)
+}
+
+/// [`resilient_nic_config`] on any backend.
+pub fn resilient_config(backend: BackendKind, seed: u64, workers: usize) -> TestbedConfig {
+    let mut config = TestbedConfig::new(backend).seed(seed).workers(workers);
     config.gateway.rpc_timeout = SimDuration::from_millis(50);
     config.gateway.rpc_attempts = 5;
     config.gateway = config.gateway.resilient();

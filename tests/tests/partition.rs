@@ -18,7 +18,8 @@ use std::sync::Arc;
 
 use lnic::failover::{FailoverConfig, FailoverController, FailoverEventKind};
 use lnic::prelude::*;
-use lnic_integration::{page_jobs, resilient_nic_config};
+use lnic_host::HostBackend;
+use lnic_integration::{page_jobs, resilient_config, resilient_nic_config};
 use lnic_nic::Nic;
 use lnic_sim::check::InvariantChecker;
 use lnic_sim::prelude::*;
@@ -77,13 +78,15 @@ struct RunOutcome {
     duplicate_execs: usize,
     stale_replies: u64,
     fenced_replies: u64,
+    /// Work worker 0 itself refused with `RC_FENCED`.
+    fenced_rejects: u64,
     worker0_epoch: u64,
 }
 
 /// Drives traffic through a worker that stalls long enough to be given
 /// up on, with fencing on or off, and measures stale executions.
-fn stall_run(seed: u64, fenced: bool) -> RunOutcome {
-    let config = resilient_nic_config(seed, WORKERS);
+fn stall_run(seed: u64, fenced: bool, backend: BackendKind) -> RunOutcome {
+    let config = resilient_config(backend, seed, WORKERS);
 
     let mut bed = build_testbed(config);
     bed.sim.add_trace_sink(Box::new(ExecLog::default()));
@@ -141,8 +144,25 @@ fn stall_run(seed: u64, fenced: bool) -> RunOutcome {
     let gw = bed.sim.get::<Gateway>(bed.gateway).unwrap();
     let stale_replies = gw.counters().stale_replies;
     let fenced_replies = gw.counters().fenced_replies;
+    let worker0_id = bed.workers[0].component;
+    let fenced_rejects = match backend {
+        BackendKind::Nic => {
+            bed.sim
+                .get::<Nic>(worker0_id)
+                .unwrap()
+                .counters()
+                .fenced_rejects
+        }
+        BackendKind::BareMetal | BackendKind::Container => {
+            bed.sim
+                .get::<HostBackend>(worker0_id)
+                .unwrap()
+                .counters()
+                .fenced_rejects
+        }
+    };
 
-    let worker0 = bed.workers[0].component.index();
+    let worker0 = worker0_id.index();
     let log = bed.sim.trace_sink::<ExecLog>().unwrap();
     // The stale window. Fenced: the fenced span itself — any execution
     // between WorkerFenced and WorkerRejoin is a protocol violation
@@ -192,65 +212,81 @@ fn stall_run(seed: u64, fenced: bool) -> RunOutcome {
         duplicate_execs,
         stale_replies,
         fenced_replies,
+        fenced_rejects,
         worker0_epoch,
     }
 }
 
 /// The split-brain A/B: the same seed and the same fault timeline, with
-/// and without fencing. Heartbeat-only failover lets the stalled worker
-/// replay its backlog after the controller re-placed its lambdas
-/// (duplicate side effects); lease fencing reduces that to zero.
+/// and without fencing, on both the λ-NIC and the bare-metal backend.
+/// Heartbeat-only failover lets the stalled worker replay its backlog
+/// after the controller re-placed its lambdas (duplicate side effects);
+/// lease fencing reduces that to zero.
 #[test]
 fn fencing_eliminates_stale_executions_after_stall() {
-    let legacy = stall_run(42, false);
-    let fenced = stall_run(42, true);
+    for backend in [BackendKind::Nic, BackendKind::BareMetal] {
+        let legacy = stall_run(42, false, backend);
+        let fenced = stall_run(42, true, backend);
+        let kind = backend.name();
 
-    // Both runs conserve requests and see exactly one death+recovery.
-    for (name, out) in [("legacy", &legacy), ("fenced", &fenced)] {
-        assert_eq!(out.issued, THREADS as u64 * 3_000, "{name}");
-        assert_eq!(out.completed as u64, out.issued, "{name}");
-        assert_eq!(out.deaths, 1, "{name}");
-        assert_eq!(out.recoveries, 1, "{name}");
-        let bound = out.issued / 8;
+        // Both runs conserve requests and see exactly one death+recovery.
+        for (name, out) in [("legacy", &legacy), ("fenced", &fenced)] {
+            assert_eq!(out.issued, THREADS as u64 * 3_000, "{kind} {name}");
+            assert_eq!(out.completed as u64, out.issued, "{kind} {name}");
+            assert_eq!(out.deaths, 1, "{kind} {name}");
+            assert_eq!(out.recoveries, 1, "{kind} {name}");
+            let bound = out.issued / 8;
+            assert!(
+                (out.failed as u64) <= bound,
+                "{kind} {name}: failed {} of {} (bound {})",
+                out.failed,
+                out.issued,
+                bound
+            );
+        }
+
+        // Without fencing: the woken worker executes work the controller
+        // already re-placed — and at least some of it also ran elsewhere.
         assert!(
-            (out.failed as u64) <= bound,
-            "{name}: failed {} of {} (bound {})",
-            out.failed,
-            out.issued,
-            bound
+            legacy.stale_execs > 0,
+            "{kind}: legacy run must demonstrate stale executions"
+        );
+        assert!(
+            legacy.duplicate_execs > 0,
+            "{kind}: legacy run must demonstrate duplicate side effects"
+        );
+
+        // With fencing: zero. (The attached InvariantChecker would have
+        // panicked on any ExecStart inside a fenced span; this asserts
+        // the same thing from the raw event log.)
+        assert_eq!(
+            fenced.stale_execs, 0,
+            "{kind}: fenced run leaked a stale execution"
+        );
+        assert_eq!(fenced.duplicate_execs, 0, "{kind}");
+        // The backlog was refused with RC_FENCED instead, and the
+        // gateway discarded the sub-floor replies.
+        assert!(
+            fenced.fenced_rejects > 0,
+            "{kind}: the lapsed worker must refuse its backlog with RC_FENCED"
+        );
+        assert!(
+            fenced.stale_replies + fenced.fenced_replies > 0,
+            "{kind}: fenced run should have exercised the reject/discard path"
+        );
+        // The rejoin handshake bumped the fencing token past the
+        // initial 1.
+        assert!(
+            fenced.worker0_epoch >= 2,
+            "{kind}: rejoin must bump the epoch"
         );
     }
-
-    // Without fencing: the woken worker executes work the controller
-    // already re-placed — and at least some of it also ran elsewhere.
-    assert!(
-        legacy.stale_execs > 0,
-        "legacy run must demonstrate stale executions"
-    );
-    assert!(
-        legacy.duplicate_execs > 0,
-        "legacy run must demonstrate duplicate side effects"
-    );
-
-    // With fencing: zero. (The attached InvariantChecker would have
-    // panicked on any ExecStart inside a fenced span; this asserts the
-    // same thing from the raw event log.)
-    assert_eq!(fenced.stale_execs, 0, "fenced run leaked a stale execution");
-    assert_eq!(fenced.duplicate_execs, 0);
-    // The backlog was refused with RC_FENCED instead, and the gateway
-    // discarded the sub-floor replies.
-    assert!(
-        fenced.stale_replies + fenced.fenced_replies > 0,
-        "fenced run should have exercised the reject/discard path"
-    );
-    // The rejoin handshake bumped the fencing token past the initial 1.
-    assert!(fenced.worker0_epoch >= 2, "rejoin must bump the epoch");
 }
 
 #[test]
 fn stall_runs_are_deterministic_for_a_seed() {
-    let a = stall_run(11, true);
-    let b = stall_run(11, true);
+    let a = stall_run(11, true, BackendKind::Nic);
+    let b = stall_run(11, true, BackendKind::Nic);
     assert_eq!(a.issued, b.issued);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.failed, b.failed);
