@@ -274,22 +274,6 @@ fn run_cell(seed: u64, cell: Cell, readopt: bool, budget: u64) -> CellResult {
     res
 }
 
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn ms(d: SimDuration) -> f64 {
     d.as_nanos() as f64 / 1e6
 }
@@ -322,7 +306,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seed = 42 + seed_offset();
     let budget: u64 = if smoke { 3_000 } else { 6_000 };
-    let lease = TierConfig::default().lease;
+    let lease = lnic::lease::LEASE;
     println!(
         "disaster recovery: {WORKERS} workers, {} shards, seed {seed}, budget {budget}/thread{}",
         EXTRA_SHARDS + 1,
@@ -401,7 +385,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"seed\": {seed}, \"commit\": \"{}\", \"smoke\": {smoke},",
-        commit_id()
+        lnic_bench::commit_id()
     );
     let _ = writeln!(
         json,

@@ -114,22 +114,6 @@ fn run_arm(label: &str, engine: EngineMode, seed: u64, load: &Load) -> Arm {
     }
 }
 
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let seed = 42 + seed_offset();
@@ -209,7 +193,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"seed\": {seed}, \"commit\": \"{}\", \"smoke\": {smoke},",
-        commit_id()
+        lnic_bench::commit_id()
     );
     let _ = writeln!(
         json,

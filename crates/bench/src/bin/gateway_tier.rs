@@ -294,22 +294,6 @@ fn run_flash_crowd(seed: u64, smoke: bool) -> CrowdResult {
     }
 }
 
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn arm_json(r: &ArmResult) -> String {
     format!(
         "    {{\"arm\": \"{}\", \"shards\": {}, \"issued\": {}, \"ok\": {}, \"failed\": {},\n     \
@@ -418,7 +402,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"seed\": {seed}, \"commit\": \"{}\", \"smoke\": {smoke},",
-        commit_id()
+        lnic_bench::commit_id()
     );
     let _ = writeln!(
         json,

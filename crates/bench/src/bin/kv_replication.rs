@@ -406,22 +406,6 @@ fn baseline_p99_ms() -> f64 {
         .unwrap_or(FALLBACK_BASELINE_P99_MS)
 }
 
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let history = std::env::args().find_map(|a| a.strip_prefix("--history=").map(str::to_owned));
@@ -485,7 +469,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"seed\": {seed}, \"commit\": \"{}\", \"smoke\": {smoke}, \"threads\": {THREADS},",
-        commit_id()
+        lnic_bench::commit_id()
     );
     let _ = writeln!(
         json,

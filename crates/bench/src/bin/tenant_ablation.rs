@@ -342,22 +342,6 @@ fn run_arm(seed: u64, virtualized: bool, per_thread: u64, trace: Option<&str>) -
     }
 }
 
-fn commit_id() -> String {
-    std::env::var("LNIC_COMMIT")
-        .ok()
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .or_else(|| {
-            std::process::Command::new("git")
-                .args(["rev-parse", "HEAD"])
-                .output()
-                .ok()
-                .filter(|o| o.status.success())
-                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-        })
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let trace = std::env::args().find_map(|a| a.strip_prefix("--trace=").map(str::to_owned));
@@ -425,7 +409,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"seed\": {seed}, \"commit\": \"{}\", \"smoke\": {smoke}, \"tenants\": {TENANTS},",
-        commit_id()
+        lnic_bench::commit_id()
     );
     let _ = writeln!(
         json,

@@ -101,6 +101,24 @@ pub struct TraceOpts {
     pub dir: Option<PathBuf>,
 }
 
+/// The commit a bench report was produced from: `LNIC_COMMIT`, else
+/// `GITHUB_SHA`, else `git rev-parse HEAD`, else `"unknown"`.
+pub fn commit_id() -> String {
+    std::env::var("LNIC_COMMIT")
+        .ok()
+        .or_else(|| std::env::var("GITHUB_SHA").ok())
+        .or_else(|| {
+            std::process::Command::new("git")
+                .args(["rev-parse", "HEAD"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+        })
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 /// The process-wide `--trace` options, parsed from `std::env::args` on
 /// first use.
 pub fn trace_opts() -> &'static TraceOpts {

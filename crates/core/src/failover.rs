@@ -21,7 +21,8 @@
 //! worker the controller cannot reach may still be serving traffic, and
 //! re-placing its workloads creates two live owners (split brain). With
 //! fencing enabled the controller instead grants **bounded leases**
-//! carrying monotonically increasing **epochs** ([`GrantLease`]):
+//! carrying monotonically increasing **epochs**
+//! ([`GrantLease`](lnic_sim::fault::GrantLease)):
 //!
 //! - A worker serves only while its lease is live, and stamps its epoch
 //!   on every reply; work carrying an older epoch is refused with
@@ -36,21 +37,27 @@
 //! - A healed worker rejoins through a lease-renewal handshake that
 //!   bumps its epoch past the fence and drops its pre-partition queue.
 //!
+//! Every lease is [`LEASE`](lnic_sim::lease::LEASE) (150 ms) long,
+//! whatever the heartbeat interval. The protocol itself — grants,
+//! fencing on provable expiry, ack → rejoin, restore-time reconcile —
+//! is the shared [`Membership`] core; this controller is the policy
+//! over it: fence floors, endpoint withdrawal, orphan re-placement,
+//! hand-back, and the legacy ping/pong liveness path that partition
+//! experiments keep as the unfenced baseline.
+//!
 //! With [`FailoverConfig::snapshot_interval`] set, the controller also
 //! serializes its membership + placement state to a stable snapshot on
 //! a cadence and writes it through on every fence/rejoin transition, so
 //! a crash-restarted control plane ([`lnic_sim::fault::Crash`] /
 //! [`lnic_sim::fault::Restart`]) resumes from the last snapshot and
-//! reconciles against worker-reported epochs ([`EpochQuery`]).
+//! reconciles against worker-reported epochs
+//! ([`EpochQuery`](lnic_sim::fault::EpochQuery)).
 
 use std::collections::HashMap;
 
 use lnic_net::transport::UpdateService;
-use lnic_net::MacAddr;
-use lnic_sim::fault::{
-    Crash, EpochQuery, EpochReport, GrantLease, HealthPing, HealthPong, LeaseAck, NetCutFrom,
-    Restart,
-};
+use lnic_sim::fault::{EpochReport, HealthPing, HealthPong, LeaseAck};
+use lnic_sim::lease::{Membership, Reconcile, Signal};
 use lnic_sim::prelude::*;
 
 use crate::gateway::{
@@ -79,9 +86,6 @@ pub struct FailoverConfig {
     /// fencing (see the module docs). Off by default: legacy testbeds
     /// keep the exact ping/pong behaviour.
     pub fencing: bool,
-    /// Validity of each granted lease. A suspected worker is fenced
-    /// only once its last granted lease has provably expired.
-    pub lease_duration: SimDuration,
     /// When set, serialize controller state to a stable snapshot on
     /// this cadence (and on every fence/rejoin transition), enabling
     /// crash-restart recovery of the control plane.
@@ -90,12 +94,9 @@ pub struct FailoverConfig {
 
 impl Default for FailoverConfig {
     fn default() -> Self {
-        let heartbeat_interval = SimDuration::from_millis(50);
-        let missed_beats: u32 = 3;
         FailoverConfig {
-            heartbeat_interval,
-            missed_beats,
-            lease_duration: heartbeat_interval * missed_beats as u64,
+            heartbeat_interval: SimDuration::from_millis(50),
+            missed_beats: 3,
             slow_factor: 4.0,
             slow_strikes: 3,
             quarantine_probation: SimDuration::from_millis(500),
@@ -143,19 +144,6 @@ pub struct ReplanRequest {
     /// `false`: the worker died and the workload is orphaned. `true`:
     /// the worker recovered and its original workloads may come home.
     pub recovered: bool,
-}
-
-#[derive(Debug)]
-struct Beat {
-    /// Generation at arming; a crash-restart bumps the generation so
-    /// pre-crash timers cannot double the beat loop.
-    gen: u64,
-}
-
-/// Self-timer: take the next periodic stable snapshot.
-#[derive(Debug)]
-struct SnapTick {
-    gen: u64,
 }
 
 /// Self-timer: a quarantined worker's probation is over.
@@ -227,12 +215,7 @@ pub struct FailoverCounters {
 }
 
 struct WorkerHealth {
-    component: ComponentId,
     endpoint: WorkerEndpoint,
-    /// Consecutive silent heartbeat rounds.
-    missed: u32,
-    /// Answered the probe of the current round.
-    ponged: bool,
     alive: bool,
     /// EWMA of reported request latency, in ns (None until first report).
     ewma_ns: Option<f64>,
@@ -240,16 +223,6 @@ struct WorkerHealth {
     slow_strikes: u32,
     /// Ejected by the fail-slow detector (still answers heartbeats).
     quarantined: bool,
-    /// The worker's fencing token (fencing mode; 0 before the regime
-    /// starts, then ≥ 1, bumped on every rejoin).
-    epoch: u64,
-    /// Expiry of the last lease granted to this worker, as recorded at
-    /// grant time. An upper bound on the worker's own view: lost grants
-    /// only make the worker's lease *shorter*.
-    lease_until: SimTime,
-    /// Fenced: lease provably expired, placements re-homed, awaiting
-    /// the rejoin handshake.
-    fenced: bool,
 }
 
 /// Stable-storage image of the controller's membership + placement
@@ -269,38 +242,23 @@ pub struct FailoverController {
     cfg: FailoverConfig,
     gateway: ComponentId,
     workers: Vec<WorkerHealth>,
+    /// Lease/epoch membership over the workers (epoch 0 until fencing
+    /// starts, then ≥ 1, bumped on every rejoin).
+    members: Membership,
     /// Current primary home of each workload (index into `workers`).
     home: HashMap<u32, usize>,
     /// Where each workload was homed at setup (restored on recovery).
     origin: HashMap<u32, usize>,
-    started: bool,
     counters: FailoverCounters,
     events: Vec<FailoverEvent>,
     /// When set, death/recovery re-placement decisions are delegated to
     /// this planner via [`ReplanRequest`] instead of applied directly.
     planner: Option<ComponentId>,
-    /// Peers this controller is partitioned from (by component index),
-    /// and until when; their acks/pongs/reports are dropped.
-    cut_from: HashMap<usize, SimTime>,
-    /// Crashed control plane: silent until a [`Restart`].
-    crashed: bool,
     /// Last stable snapshot (survives crashes — modeled stable storage).
     stable: Option<Snapshot>,
-    /// Monotonic snapshot sequence (also survives crashes).
-    snap_seq: u64,
-    /// Current beat-timer generation (see [`Beat`]).
-    beat_gen: u64,
-    /// Current snapshot-timer generation.
-    snap_gen: u64,
-    /// Monotonic lease-grant sequence.
-    lease_seq: u64,
     /// Workload → service id routes to broadcast ([`UpdateService`])
     /// when a re-placement moves the workload.
     service_routes: HashMap<u32, u16>,
-    /// A restore happened; emit `SnapshotRestored` (with the count of
-    /// workers whose reported epoch was ahead) on the next beat, after
-    /// the zero-delay [`EpochReport`]s have arrived.
-    restore_pending: Option<(u64, u64)>,
     /// Additional gateway shards mirroring every gateway-directed
     /// reconfiguration — placement withdrawals, worker epochs, fence
     /// floors, re-placements. A gateway tier registers its extra shards
@@ -317,40 +275,28 @@ impl FailoverController {
         gateway: ComponentId,
         workers: Vec<(ComponentId, WorkerEndpoint)>,
     ) -> Self {
+        let (components, endpoints): (Vec<_>, Vec<_>) = workers.into_iter().unzip();
         FailoverController {
             cfg,
             gateway,
-            workers: workers
+            workers: endpoints
                 .into_iter()
-                .map(|(component, endpoint)| WorkerHealth {
-                    component,
+                .map(|endpoint| WorkerHealth {
                     endpoint,
-                    missed: 0,
-                    ponged: false,
                     alive: true,
                     ewma_ns: None,
                     slow_strikes: 0,
                     quarantined: false,
-                    epoch: 0,
-                    lease_until: SimTime::ZERO,
-                    fenced: false,
                 })
                 .collect(),
+            members: Membership::new(components, 0, Reconcile::Rejoin),
             home: HashMap::new(),
             origin: HashMap::new(),
-            started: false,
             counters: FailoverCounters::default(),
             events: Vec::new(),
             planner: None,
-            cut_from: HashMap::new(),
-            crashed: false,
             stable: None,
-            snap_seq: 0,
-            beat_gen: 0,
-            snap_gen: 0,
-            lease_seq: 0,
             service_routes: HashMap::new(),
-            restore_pending: None,
             extra_gateways: Vec::new(),
         }
     }
@@ -364,61 +310,12 @@ impl FailoverController {
         }
     }
 
-    /// Sends a worker-epoch update to every gateway shard.
-    fn set_epoch_all(&self, ctx: &mut Ctx<'_>, mac: MacAddr, epoch: u64) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            SetWorkerEpoch { mac, epoch },
-        );
+    /// Sends a reconfiguration (worker epoch, fence floor, endpoint
+    /// withdrawal, placement) to every gateway shard, primary first.
+    fn to_gateways(&self, ctx: &mut Ctx<'_>, msg: impl Message + Copy) {
+        ctx.send(self.gateway, SimDuration::ZERO, msg);
         for &gw in &self.extra_gateways {
-            ctx.send(gw, SimDuration::ZERO, SetWorkerEpoch { mac, epoch });
-        }
-    }
-
-    /// Installs a reply-fence floor for a worker at every gateway shard.
-    fn fence_all(&self, ctx: &mut Ctx<'_>, mac: MacAddr, floor_epoch: u64) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            FenceWorker { mac, floor_epoch },
-        );
-        for &gw in &self.extra_gateways {
-            ctx.send(gw, SimDuration::ZERO, FenceWorker { mac, floor_epoch });
-        }
-    }
-
-    /// Withdraws a worker's endpoints from every gateway shard.
-    fn remove_endpoints_all(&self, ctx: &mut Ctx<'_>, mac: MacAddr) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            RemoveWorkerEndpoints { mac },
-        );
-        for &gw in &self.extra_gateways {
-            ctx.send(gw, SimDuration::ZERO, RemoveWorkerEndpoints { mac });
-        }
-    }
-
-    /// Adds a replica placement at every gateway shard.
-    fn add_placement_all(&self, ctx: &mut Ctx<'_>, workload_id: u32, endpoint: WorkerEndpoint) {
-        ctx.send(
-            self.gateway,
-            SimDuration::ZERO,
-            AddPlacement {
-                workload_id,
-                endpoint,
-            },
-        );
-        for &gw in &self.extra_gateways {
-            ctx.send(
-                gw,
-                SimDuration::ZERO,
-                AddPlacement {
-                    workload_id,
-                    endpoint,
-                },
-            );
+            ctx.send(gw, SimDuration::ZERO, msg);
         }
     }
 
@@ -452,22 +349,22 @@ impl FailoverController {
 
     /// The fencing token worker `worker` was last seen holding.
     pub fn worker_epoch(&self, worker: usize) -> u64 {
-        self.workers[worker].epoch
+        self.members.view(worker).epoch
     }
 
     /// Whether worker `worker` is currently fenced.
     pub fn is_fenced(&self, worker: usize) -> bool {
-        self.workers[worker].fenced
+        self.members.view(worker).fenced
     }
 
     /// Sequence number of the last stable snapshot taken (0 = none).
     pub fn snapshot_seq(&self) -> u64 {
-        self.snap_seq
+        self.members.snapshot_seq()
     }
 
     /// Whether the control plane is currently crashed.
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.members.is_crashed()
     }
 
     /// Statistics.
@@ -503,23 +400,21 @@ impl FailoverController {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if self.started {
+        if !self.members.start() {
             return;
         }
-        self.started = true;
         if self.cfg.fencing {
             // Establish the epoch regime: every worker starts at 1 and
             // the gateway stamps that token on requests routed at it.
             for i in 0..self.workers.len() {
-                self.workers[i].epoch = 1;
+                self.members.view_mut(i).epoch = 1;
                 let mac = self.workers[i].endpoint.mac;
-                self.set_epoch_all(ctx, mac, 1);
+                self.to_gateways(ctx, SetWorkerEpoch { mac, epoch: 1 });
             }
         }
         if let Some(interval) = self.cfg.snapshot_interval {
             self.take_snapshot(ctx);
-            let gen = self.snap_gen;
-            ctx.send_self(interval, SnapTick { gen });
+            self.members.arm_snapshot(ctx, interval);
         }
         self.on_beat(ctx);
     }
@@ -531,40 +426,30 @@ impl FailoverController {
         self.counters.beats += 1;
         // A restore completed last turn; every reachable worker's
         // zero-delay EpochReport has arrived by now.
-        if let Some((seq, reconciled)) = self.restore_pending.take() {
+        if let Some((seq, reconciled)) = self.members.take_restore() {
             ctx.emit(|| TraceEvent::SnapshotRestored { seq, reconciled });
         }
-        for i in 0..self.workers.len() {
-            let w = &mut self.workers[i];
-            if w.ponged {
-                w.missed = 0;
-            } else {
-                w.missed = w.missed.saturating_add(1);
-            }
-            w.ponged = false;
-        }
+        self.members.tally();
         if self.cfg.fencing {
             self.beat_fencing(ctx);
         } else {
             self.beat_legacy(ctx);
         }
-        let gen = self.beat_gen;
-        ctx.send_self(self.cfg.heartbeat_interval, Beat { gen });
+        self.members.arm_round(ctx, self.cfg.heartbeat_interval);
     }
 
     fn beat_legacy(&mut self, ctx: &mut Ctx<'_>) {
         for i in 0..self.workers.len() {
-            if self.workers[i].alive && self.workers[i].missed >= self.cfg.missed_beats {
+            if self.workers[i].alive && self.members.missed(i) >= self.cfg.missed_beats {
                 self.declare_dead(ctx, i);
             }
         }
-        let seq = self.counters.beats;
         let reply_to = ctx.self_id();
         for i in 0..self.workers.len() {
             ctx.send(
-                self.workers[i].component,
+                self.members.component(i),
                 SimDuration::ZERO,
-                HealthPing { seq, reply_to },
+                HealthPing { reply_to },
             );
         }
     }
@@ -572,76 +457,41 @@ impl FailoverController {
     fn beat_fencing(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         for i in 0..self.workers.len() {
-            if self.workers[i].fenced {
-                // Rejoin probe: idempotent until the worker acks with
-                // the bumped epoch (a partitioned worker never sees it).
-                let epoch = self.workers[i].epoch + 1;
-                self.send_grant(ctx, i, epoch, true);
-                continue;
+            // A fenced worker gets a rejoin probe, idempotent until it
+            // acks the bumped epoch (a partitioned worker never sees
+            // it). A suspected worker gets no renewal, and is fenced
+            // only once the last granted lease has provably expired —
+            // before that instant it may still be serving.
+            if self.members.view(i).fenced || self.members.missed(i) < self.cfg.missed_beats {
+                self.grant(ctx, i);
+            } else if self.members.try_fence(i, now) {
+                self.fence_worker(ctx, i);
             }
-            if self.workers[i].missed >= self.cfg.missed_beats {
-                // Suspected: stop extending the lease. Fencing is safe
-                // only once the last granted lease has provably expired
-                // — before that instant the worker may still be serving.
-                if crate::lease::provably_expired(now, self.workers[i].lease_until) {
-                    self.fence_worker(ctx, i);
-                }
-                continue;
-            }
-            let epoch = self.workers[i].epoch;
-            self.send_grant(ctx, i, epoch, false);
         }
     }
 
-    /// Grants (or probes, for `rejoin`) a lease. Grants are direct
-    /// zero-delay control messages, so the `lease_until` recorded here
-    /// is exactly what the worker adopts when the grant is delivered;
-    /// a lost grant only leaves the worker with a *shorter* lease.
-    fn send_grant(&mut self, ctx: &mut Ctx<'_>, idx: usize, epoch: u64, rejoin: bool) {
-        self.lease_seq += 1;
-        // A rejoin probe carries an already-expired lease: the worker
-        // adopts the bumped epoch but earns serving time only after its
-        // ack round-trips.
-        let until = if rejoin {
-            ctx.now()
-        } else {
-            ctx.now() + self.cfg.lease_duration
-        };
-        if !rejoin {
-            self.workers[idx].lease_until = self.workers[idx].lease_until.max(until);
-        }
-        let worker = idx as u32;
-        let until_ns = until.as_nanos();
+    /// Grants worker `idx` a lease (or a rejoin probe, when fenced) and
+    /// traces it.
+    fn grant(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
+        let grant = self.members.grant(ctx, idx);
+        let (worker, epoch, until_ns) = (idx as u32, grant.epoch, grant.until.as_nanos());
         ctx.emit(|| TraceEvent::LeaseGrant {
             worker,
             epoch,
             until_ns,
         });
-        let reply_to = ctx.self_id();
-        ctx.send(
-            self.workers[idx].component,
-            SimDuration::ZERO,
-            GrantLease {
-                epoch,
-                until_ns,
-                seq: self.lease_seq,
-                rejoin,
-                reply_to,
-            },
-        );
     }
 
-    /// Fences a worker whose lease provably expired: raise the
-    /// gateway's reply floor, withdraw its endpoints, re-home its
-    /// workloads, and persist the membership transition.
+    /// Acts on a worker fenced because its lease provably expired:
+    /// raise the gateway's reply floor, withdraw its endpoints, re-home
+    /// its workloads, and persist the membership transition.
     fn fence_worker(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let epoch = self.workers[idx].epoch;
-        self.workers[idx].fenced = true;
+        let epoch = self.members.view(idx).epoch;
         self.workers[idx].alive = false;
         self.counters.deaths += 1;
         self.record(ctx, FailoverEventKind::WorkerDead { worker: idx });
         let worker = idx as u32;
-        let component = self.workers[idx].component.index() as u32;
+        let component = self.members.component(idx).index() as u32;
         ctx.emit(|| TraceEvent::LeaseExpire { worker, epoch });
         ctx.emit(|| TraceEvent::WorkerFenced {
             worker,
@@ -649,8 +499,9 @@ impl FailoverController {
             epoch,
         });
         let mac = self.workers[idx].endpoint.mac;
-        self.fence_all(ctx, mac, epoch + 1);
-        self.remove_endpoints_all(ctx, mac);
+        let floor_epoch = epoch + 1;
+        self.to_gateways(ctx, FenceWorker { mac, floor_epoch });
+        self.to_gateways(ctx, RemoveWorkerEndpoints { mac });
         self.replace_orphans(ctx, idx);
         self.write_through(ctx);
     }
@@ -667,23 +518,23 @@ impl FailoverController {
             mac: ep.mac,
             addr: ep.addr,
         };
-        for w in &self.workers {
-            ctx.send(w.component, SimDuration::ZERO, update);
+        for i in 0..self.workers.len() {
+            ctx.send(self.members.component(i), SimDuration::ZERO, update);
         }
     }
 
     /// Serializes membership + placement state to the stable snapshot.
     fn take_snapshot(&mut self, ctx: &mut Ctx<'_>) {
-        self.snap_seq += 1;
-        let seq = self.snap_seq;
+        let seq = self.members.next_snapshot();
         let mut home: Vec<(u32, usize)> = self.home.iter().map(|(&k, &v)| (k, v)).collect();
         home.sort_unstable();
         let mut origin: Vec<(u32, usize)> = self.origin.iter().map(|(&k, &v)| (k, v)).collect();
         origin.sort_unstable();
-        let workers: Vec<(u64, bool, bool)> = self
-            .workers
-            .iter()
-            .map(|w| (w.epoch, w.fenced, w.alive))
+        let workers: Vec<(u64, bool, bool)> = (0..self.workers.len())
+            .map(|i| {
+                let view = self.members.view(i);
+                (view.epoch, view.fenced, self.workers[i].alive)
+            })
             .collect();
         let n_workers = workers.len() as u64;
         let placements = home.len() as u64;
@@ -708,17 +559,6 @@ impl FailoverController {
         }
     }
 
-    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
-        if self.crashed {
-            return;
-        }
-        self.crashed = true;
-        ctx.emit(|| TraceEvent::Fault {
-            kind: "crash",
-            detail: 0,
-        });
-    }
-
     /// Restarts the control plane from the last stable snapshot:
     /// restore membership + placement bookkeeping, re-bound every
     /// worker's lease (no grant was sent while crashed, so every
@@ -728,128 +568,73 @@ impl FailoverController {
     /// gateway placement state survived, and re-placing would violate
     /// conservation.
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
         ctx.emit(|| TraceEvent::Fault {
             kind: "restart",
             detail: 0,
         });
-        // Pre-crash timers must not double the loops.
-        self.beat_gen += 1;
-        self.snap_gen += 1;
-        if !self.started {
+        if !self.members.started() {
             return;
         }
         if let Some(snap) = self.stable.clone() {
             self.home = snap.home.into_iter().collect();
             self.origin = snap.origin.into_iter().collect();
-            let reply_to = ctx.self_id();
+            let now = ctx.now();
             for (i, &(epoch, fenced, alive)) in snap.workers.iter().enumerate() {
-                let w = &mut self.workers[i];
-                w.epoch = epoch;
-                w.fenced = fenced;
-                w.alive = alive;
-                w.missed = 0;
-                w.ponged = false;
-                w.lease_until = ctx.now() + self.cfg.lease_duration;
-                let mac = w.endpoint.mac;
-                self.set_epoch_all(ctx, mac, epoch);
+                // The snapshot records no lease horizon: re-bound it.
+                self.members.restore(i, epoch, fenced, SimTime::ZERO, now);
+                self.workers[i].alive = alive;
+                let mac = self.workers[i].endpoint.mac;
+                self.to_gateways(ctx, SetWorkerEpoch { mac, epoch });
                 if fenced {
-                    self.fence_all(ctx, mac, epoch + 1);
-                    self.remove_endpoints_all(ctx, mac);
+                    let floor_epoch = epoch + 1;
+                    self.to_gateways(ctx, FenceWorker { mac, floor_epoch });
+                    self.to_gateways(ctx, RemoveWorkerEndpoints { mac });
                 }
-                ctx.send(
-                    self.workers[i].component,
-                    SimDuration::ZERO,
-                    EpochQuery { reply_to },
-                );
+                self.members.query_epoch(ctx, i);
             }
-            self.restore_pending = Some((snap.seq, 0));
+            self.members.owe_restore(snap.seq);
         }
-        let gen = self.beat_gen;
-        ctx.send_self(self.cfg.heartbeat_interval, Beat { gen });
+        self.members.arm_round(ctx, self.cfg.heartbeat_interval);
         if let Some(interval) = self.cfg.snapshot_interval {
-            let gen = self.snap_gen;
-            ctx.send_self(interval, SnapTick { gen });
+            self.members.arm_snapshot(ctx, interval);
         }
     }
 
     fn on_lease_ack(&mut self, ctx: &mut Ctx<'_>, ack: &LeaseAck) {
-        let Some(idx) = self.workers.iter().position(|w| w.component == ack.from) else {
+        let Some((idx, true)) = self.members.on_ack(ack, ctx.now()) else {
             return;
         };
-        if self.is_cut_from(ctx.now(), ack.from) {
-            return;
-        }
-        let w = &mut self.workers[idx];
-        w.ponged = true;
-        w.missed = 0;
-        if w.fenced && ack.epoch > w.epoch {
-            // Rejoin handshake complete: the worker adopted the bumped
-            // epoch and dropped its pre-partition queue. The probe
-            // carried no serving time, so issue the real lease now.
-            w.epoch = ack.epoch;
-            w.fenced = false;
-            w.alive = true;
-            self.counters.recoveries += 1;
-            self.record(ctx, FailoverEventKind::WorkerRecovered { worker: idx });
-            let worker = idx as u32;
-            let component = ack.from.index() as u32;
-            let epoch = ack.epoch;
-            ctx.emit(|| TraceEvent::WorkerRejoin {
-                worker,
-                component,
-                epoch,
-            });
-            let mac = self.workers[idx].endpoint.mac;
-            self.set_epoch_all(ctx, mac, epoch);
-            self.send_grant(ctx, idx, epoch, false);
-            self.hand_back(ctx, idx);
-            self.write_through(ctx);
-        } else if ack.epoch > w.epoch {
-            // Tokens never regress; adopt the fresher view.
-            w.epoch = ack.epoch;
-        }
+        // Rejoin handshake complete: the worker adopted the bumped epoch
+        // and dropped its pre-partition queue. The probe carried no
+        // serving time, so issue the real lease now.
+        self.workers[idx].alive = true;
+        self.counters.recoveries += 1;
+        self.record(ctx, FailoverEventKind::WorkerRecovered { worker: idx });
+        let worker = idx as u32;
+        let component = ack.from.index() as u32;
+        let epoch = ack.epoch;
+        ctx.emit(|| TraceEvent::WorkerRejoin {
+            worker,
+            component,
+            epoch,
+        });
+        let mac = self.workers[idx].endpoint.mac;
+        self.to_gateways(ctx, SetWorkerEpoch { mac, epoch });
+        self.grant(ctx, idx);
+        self.hand_back(ctx, idx);
+        self.write_through(ctx);
     }
 
     fn on_epoch_report(&mut self, ctx: &mut Ctx<'_>, report: &EpochReport) {
-        let Some(idx) = self.workers.iter().position(|w| w.component == report.from) else {
-            return;
-        };
-        if self.is_cut_from(ctx.now(), report.from) {
-            return;
-        }
-        let w = &mut self.workers[idx];
-        if report.epoch > w.epoch {
+        if let Some((idx, true)) = self.members.on_report(report, ctx.now()) {
             // The worker completed a rejoin the snapshot missed. Its
             // gateway placements survived the controller crash, so no
             // handback is needed — only the bookkeeping catches up.
-            w.epoch = report.epoch;
-            if w.fenced {
-                w.fenced = false;
-                w.alive = true;
-            }
-            if let Some((_, reconciled)) = self.restore_pending.as_mut() {
-                *reconciled += 1;
-            }
-            let mac = w.endpoint.mac;
+            self.workers[idx].alive = true;
+            let mac = self.workers[idx].endpoint.mac;
             let epoch = report.epoch;
-            self.set_epoch_all(ctx, mac, epoch);
+            self.to_gateways(ctx, SetWorkerEpoch { mac, epoch });
         }
-        if report.lease_until_ns > 0 {
-            let until = SimTime::from_nanos(report.lease_until_ns);
-            let w = &mut self.workers[idx];
-            w.lease_until = w.lease_until.max(until);
-        }
-    }
-
-    /// Whether a message from `peer` is inside an active partition cut.
-    fn is_cut_from(&self, now: SimTime, peer: ComponentId) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
     }
 
     fn declare_dead(&mut self, ctx: &mut Ctx<'_>, dead: usize) {
@@ -858,7 +643,8 @@ impl FailoverController {
         self.record(ctx, FailoverEventKind::WorkerDead { worker: dead });
         // Stop routing anything (originals or retransmissions) at the
         // blackhole.
-        self.remove_endpoints_all(ctx, self.workers[dead].endpoint.mac);
+        let mac = self.workers[dead].endpoint.mac;
+        self.to_gateways(ctx, RemoveWorkerEndpoints { mac });
         self.replace_orphans(ctx, dead);
     }
 
@@ -910,7 +696,14 @@ impl FailoverController {
                     to: target,
                 },
             );
-            self.add_placement_all(ctx, wid, self.workers[target].endpoint);
+            let endpoint = self.workers[target].endpoint;
+            self.to_gateways(
+                ctx,
+                AddPlacement {
+                    workload_id: wid,
+                    endpoint,
+                },
+            );
             // Inter-worker RPC tables must chase the re-placement too,
             // or retries keep hammering the evicted endpoint.
             self.broadcast_service_route(ctx, wid, target);
@@ -918,22 +711,16 @@ impl FailoverController {
     }
 
     fn on_pong(&mut self, ctx: &mut Ctx<'_>, from: ComponentId) {
-        let Some(idx) = self.workers.iter().position(|w| w.component == from) else {
+        let Some(idx) = self.members.answered(from, ctx.now()) else {
             return;
         };
-        if self.is_cut_from(ctx.now(), from) {
-            return;
-        }
-        let w = &mut self.workers[idx];
-        w.ponged = true;
-        w.missed = 0;
-        if w.alive {
+        if self.workers[idx].alive {
             return;
         }
         // Recovery: re-admit and hand back the workloads that
         // originally lived here (survivor replicas keep serving too, so
         // the handback is hitless).
-        w.alive = true;
+        self.workers[idx].alive = true;
         self.counters.recoveries += 1;
         self.record(ctx, FailoverEventKind::WorkerRecovered { worker: idx });
         self.hand_back(ctx, idx);
@@ -978,7 +765,13 @@ impl FailoverController {
                     },
                 );
             }
-            self.add_placement_all(ctx, wid, endpoint);
+            self.to_gateways(
+                ctx,
+                AddPlacement {
+                    workload_id: wid,
+                    endpoint,
+                },
+            );
             self.broadcast_service_route(ctx, wid, idx);
         }
     }
@@ -1058,7 +851,8 @@ impl FailoverController {
             ewma_ns,
             median_ns,
         });
-        self.remove_endpoints_all(ctx, self.workers[idx].endpoint.mac);
+        let mac = self.workers[idx].endpoint.mac;
+        self.to_gateways(ctx, RemoveWorkerEndpoints { mac });
         self.replace_orphans(ctx, idx);
         ctx.send_self(self.cfg.quarantine_probation, ProbationEnd { worker: idx });
     }
@@ -1087,62 +881,35 @@ impl Component for FailoverController {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
-        // Fault controls model process/network state and act even while
-        // the process is down.
-        let msg = match msg.downcast::<Crash>() {
-            Ok(_) => {
-                self.on_crash(ctx);
+        let msg = match self.members.filter(ctx.now(), msg) {
+            None => return,
+            Some(Signal::Crashed) => {
+                ctx.emit(|| TraceEvent::Fault {
+                    kind: "crash",
+                    detail: 0,
+                });
                 return;
             }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<Restart>() {
-            Ok(_) => {
+            Some(Signal::Restarted) => {
                 self.on_restart(ctx);
                 return;
             }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<NetCutFrom>() {
-            Ok(cut) => {
-                let until = ctx.now() + cut.duration;
-                for peer in &cut.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(until);
-                    *slot = (*slot).max(until);
+            Some(Signal::Round) => {
+                self.on_beat(ctx);
+                return;
+            }
+            Some(Signal::Snapshot) => {
+                self.take_snapshot(ctx);
+                if let Some(interval) = self.cfg.snapshot_interval {
+                    self.members.arm_snapshot(ctx, interval);
                 }
                 return;
             }
-            Err(other) => other,
+            Some(Signal::Message(msg)) => msg,
         };
-        if self.crashed {
-            // Messages addressed to a crashed process die with it.
-            return;
-        }
         let msg = match msg.downcast::<StartFailover>() {
             Ok(_) => {
                 self.on_start(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<Beat>() {
-            Ok(beat) => {
-                if beat.gen == self.beat_gen {
-                    self.on_beat(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<SnapTick>() {
-            Ok(tick) => {
-                if tick.gen == self.snap_gen {
-                    self.take_snapshot(ctx);
-                    if let Some(interval) = self.cfg.snapshot_interval {
-                        let gen = self.snap_gen;
-                        ctx.send_self(interval, SnapTick { gen });
-                    }
-                }
                 return;
             }
             Err(other) => other,

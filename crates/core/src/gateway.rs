@@ -22,13 +22,13 @@ use lnic_net::packet::{
 use lnic_net::params::MTU_PAYLOAD_BYTES;
 use lnic_net::transport::{RetryPolicy, RpcTracker, TimeoutAction, UpdateService};
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
-use lnic_sim::fault::{Crash, EpochQuery, EpochReport, GrantLease, LeaseAck, NetCutFrom, Restart};
+use lnic_sim::fault::{Crash, EpochQuery, GrantLease, NetCutFrom, PartitionCut, Restart};
+use lnic_sim::lease::{Grant, WorkerView};
 use lnic_sim::prelude::*;
 use lnic_tenant::{TenantDirectory, TenantId, DEFAULT_TENANT};
 use lnic_workloads::kv::{decode_repkv_get_response, decode_repkv_request, RepKvOp};
 
 use crate::admission::{Admission, AdmissionParams};
-use crate::lease::{Grant, WorkerView};
 
 /// How often the gateway pushes per-endpoint latency digests to its
 /// latency observer (the fail-slow detector).
@@ -181,7 +181,7 @@ pub struct SetPlacement {
 
 /// Control message: add a *replica* placement; requests round-robin
 /// across all replicas (used by the autoscaler to scale out).
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct AddPlacement {
     /// The workload.
     pub workload_id: u32,
@@ -204,7 +204,7 @@ pub struct RemovePlacement {
 ///
 /// Sent by the failover controller when a worker is declared dead so no
 /// new request — original or retransmission — is routed at a blackhole.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct RemoveWorkerEndpoints {
     /// MAC of the dead worker.
     pub mac: MacAddr,
@@ -216,7 +216,7 @@ pub struct RemoveWorkerEndpoints {
 ///
 /// Sent by the failover controller at lease establishment and again
 /// after a fenced worker rejoins with a bumped epoch.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct SetWorkerEpoch {
     /// The worker (by MAC).
     pub mac: MacAddr,
@@ -229,7 +229,7 @@ pub struct SetWorkerEpoch {
 /// they were produced under a lease that has since been revoked, and
 /// accepting them could complete a request the controller already
 /// re-placed (a double side effect).
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct FenceWorker {
     /// The worker (by MAC).
     pub mac: MacAddr,
@@ -492,23 +492,21 @@ pub struct Gateway {
     gateway_id: u32,
     /// Crashed: every message except [`Restart`] is blackholed.
     crashed: bool,
-    /// Control-plane partition: direct messages from these component
-    /// indices are dropped until the recorded instant.
-    cut_from: HashMap<usize, SimTime>,
-    /// Whether this shard was ever enrolled in the tier lease regime.
-    /// Once enrolled it self-fences whenever its lease lapses —
-    /// including after a crash, when the lease state itself is lost —
-    /// so a deposed gateway provably stops accepting routed work.
-    tier_enrolled: bool,
-    /// The tier lease this shard currently holds.
+    /// Control-plane partition windows on direct messages.
+    cut: PartitionCut,
+    /// The tier lease this shard currently holds. Unleased until the
+    /// tier controller enrolls it; from then on it self-fences whenever
+    /// the lease lapses — including after a crash, when the lease state
+    /// itself is lost — so a deposed gateway provably stops accepting
+    /// routed work.
     tier_lease: WorkerView,
     /// Draining: in-flight work was handed to this successor; new
     /// submits bounce until a rejoin grant re-admits the shard.
     draining: Option<ComponentId>,
-    /// Restart count, carried in every [`LeaseAck`]. A jump tells the
-    /// tier controller this shard lost its in-flight state even though
-    /// it never missed enough heartbeats to be deposed, triggering
-    /// proactive client re-adoption at the router.
+    /// Restart count, carried in every [`lnic_sim::fault::LeaseAck`]. A
+    /// jump tells the tier controller this shard lost its in-flight
+    /// state even though it never missed enough heartbeats to be
+    /// deposed, triggering proactive client re-adoption at the router.
     incarnation: u64,
     /// The tier controller, learned from the first lease grant (kept
     /// across crashes — it re-identifies itself on the next grant).
@@ -556,8 +554,7 @@ impl Gateway {
             tenant_in_flight: HashMap::new(),
             gateway_id: 0,
             crashed: false,
-            cut_from: HashMap::new(),
-            tier_enrolled: false,
+            cut: PartitionCut::default(),
             tier_lease: WorkerView::new(),
             draining: None,
             incarnation: 0,
@@ -891,14 +888,6 @@ impl Gateway {
         );
     }
 
-    /// Whether direct messages from `peer` are inside an active
-    /// partition cut.
-    fn is_cut(&self, peer: ComponentId, now: SimTime) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
-    }
-
     /// Why this shard must refuse routed work right now, if at all:
     /// `"draining"` after a [`DrainGateway`], `"fenced"` once an
     /// enrolled shard's tier lease has lapsed. This is the deposed-
@@ -910,7 +899,7 @@ impl Gateway {
         if self.draining.is_some() {
             return Some("draining");
         }
-        if self.tier_enrolled && !self.tier_lease.lease.is_some_and(|l| l.live(now)) {
+        if !self.tier_lease.live(now) {
             return Some("fenced");
         }
         None
@@ -969,7 +958,7 @@ impl Gateway {
         self.pending_lat.clear();
         self.lat_timer_armed = false;
         self.busy_until = SimTime::ZERO;
-        self.tier_lease = WorkerView::new();
+        self.tier_lease.forget();
         self.draining = None;
     }
 
@@ -994,30 +983,17 @@ impl Gateway {
     /// on a rejoin grant leave the draining state behind: the shard
     /// serves again under its bumped epoch.
     fn on_tier_grant(&mut self, ctx: &mut Ctx<'_>, grant: GrantLease) {
-        if self.is_cut(grant.reply_to, ctx.now()) {
+        if self.cut.blocks(grant.reply_to, ctx.now()) {
             return;
         }
-        self.tier_enrolled = true;
         self.tier_controller = Some(grant.reply_to);
-        let delivered = self.tier_lease.deliver(Grant {
-            epoch: grant.epoch,
-            until: SimTime::from_nanos(grant.until_ns),
-            rejoin: grant.rejoin,
-        });
-        let Some(epoch) = delivered else { return };
-        if grant.rejoin {
+        let Some(adopted) = self.tier_lease.deliver(Grant::from(grant)) else {
+            return;
+        };
+        if adopted.rejoined {
             self.draining = None;
         }
-        ctx.send(
-            grant.reply_to,
-            SimDuration::ZERO,
-            LeaseAck {
-                from: ctx.self_id(),
-                epoch,
-                seq: grant.seq,
-                incarnation: self.incarnation,
-            },
-        );
+        adopted.ack(ctx, grant.reply_to, self.incarnation);
     }
 
     /// Planned drain: hand every in-flight request to the successor as
@@ -1108,7 +1084,7 @@ impl Gateway {
 
     fn on_submit(&mut self, ctx: &mut Ctx<'_>, req: SubmitRequest) {
         // Partitioned from the submitter: the message never arrived.
-        if self.is_cut(req.reply_to, ctx.now()) {
+        if self.cut.blocks(req.reply_to, ctx.now()) {
             return;
         }
         // Tier fencing before admission: a deposed or draining shard
@@ -1782,11 +1758,7 @@ impl Component for Gateway {
         };
         let msg = match msg.downcast::<NetCutFrom>() {
             Ok(c) => {
-                let until = ctx.now() + c.duration;
-                for peer in c.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
-                }
+                self.cut.apply(ctx.now(), &c);
                 return;
             }
             Err(other) => other,
@@ -1803,25 +1775,15 @@ impl Component for Gateway {
                 // Restore-time reconciliation: report the tier lease
                 // epoch this shard actually holds so a restarted
                 // controller never regresses below live state.
-                let from = ctx.self_id();
-                let epoch = self.tier_lease.epoch();
-                let lease_until_ns = self.tier_lease.lease.map_or(0, |l| l.until.as_nanos());
-                ctx.send(
-                    q.reply_to,
-                    SimDuration::ZERO,
-                    EpochReport {
-                        from,
-                        epoch,
-                        lease_until_ns,
-                    },
-                );
+                let report = self.tier_lease.report(ctx.self_id());
+                ctx.send(q.reply_to, SimDuration::ZERO, report);
                 return;
             }
             Err(other) => other,
         };
         let msg = match msg.downcast::<SetAdmissionSlice>() {
             Ok(s) => {
-                if self.is_cut(s.from, ctx.now()) {
+                if self.cut.blocks(s.from, ctx.now()) {
                     return; // partitioned: keep the local slice
                 }
                 match self.admission.as_mut() {

@@ -14,8 +14,8 @@
 //!   one shard during a handoff — PR 4's duplicate-suppression idea,
 //!   reused one level up), and re-routes pending work when the map
 //!   changes or a shard bounces it.
-//! - A [`TierController`] runs the lease/fencing machinery of
-//!   [`crate::lease`] over the gateway shards themselves: a shard that
+//! - A [`TierController`] runs the shared lease/fencing core
+//!   ([`Membership`]) over the gateway shards themselves: a shard that
 //!   stops acking loses its lease, *provably* stops accepting (it
 //!   self-fences on its own clock before the controller deposes it),
 //!   and is cut from the map; on heal it rejoins under a bumped epoch.
@@ -33,14 +33,14 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use lnic_net::packet::RC_FENCED;
-use lnic_sim::fault::{Crash, EpochQuery, EpochReport, GrantLease, LeaseAck, NetCutFrom, Restart};
+use lnic_sim::fault::{EpochReport, LeaseAck, NetCutFrom, PartitionCut};
+use lnic_sim::lease::{Membership, Reconcile, Signal};
 use lnic_sim::prelude::*;
 use lnic_workloads::planet::PlanetModel;
 use rand::Rng;
 
 use crate::driver::{CompletedRequest, JobSpec, StartDriver};
 use crate::gateway::{DrainGateway, HandoffReport, RequestDone, SetAdmissionSlice, SubmitRequest};
-use crate::lease::ControllerView;
 
 /// Identifier of one gateway shard in the tier: its index in the
 /// testbed's gateway list, and the high 16 bits of every request id the
@@ -381,18 +381,23 @@ impl TierSnapshot {
     }
 }
 
-/// Gateway-tier configuration: the lease regime over shards and the
-/// router's recovery knobs.
+/// Tier-controller round: lease renewal and liveness tally. Each grant
+/// is [`lnic_sim::lease::LEASE`] long, so a deposed shard provably
+/// stops accepting at most that long after its last renewal.
+pub const TIER_ROUND: SimDuration = SimDuration::from_millis(50);
+
+/// Consecutive silent rounds before the tier controller stops renewing
+/// a shard's lease (fencing then follows once the last grant expires).
+pub const TIER_MISS_THRESHOLD: u32 = 3;
+
+/// Cadence of tier-controller snapshots to (modeled) stable storage.
+/// Every membership transition also writes a snapshot through.
+pub const TIER_SNAPSHOT_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+/// Gateway-tier configuration: the ring, the router's recovery knobs,
+/// and the tier-wide admission budget.
 #[derive(Clone, Copy, Debug)]
 pub struct TierConfig {
-    /// Lease renewal / liveness-tally period.
-    pub heartbeat: SimDuration,
-    /// Lease duration granted per renewal. A deposed shard provably
-    /// stops accepting at most this long after its last renewal.
-    pub lease: SimDuration,
-    /// Consecutive silent rounds before the controller stops renewing a
-    /// shard's lease (fencing then follows once the last grant expires).
-    pub miss_threshold: u32,
     /// Ring points per shard in the [`ShardMap`].
     pub vnodes: u32,
     /// Router watchdog: a pending client request silent this long is
@@ -405,10 +410,6 @@ pub struct TierConfig {
     /// Re-route attempts per client request before the router gives up
     /// and delivers a failure.
     pub max_reroutes: u32,
-    /// Cadence of controller snapshots to (modeled) stable storage.
-    /// `ZERO` disables both the cadence and transition write-through —
-    /// a restarted controller then rebuilds cold and reconciles.
-    pub snapshot_interval: SimDuration,
     /// Tier-wide admission budget (requests/s per workload), divided
     /// evenly across the live member shards on every membership change.
     /// `0.0` leaves each shard's locally configured admission alone.
@@ -426,14 +427,10 @@ pub struct TierConfig {
 impl Default for TierConfig {
     fn default() -> Self {
         TierConfig {
-            heartbeat: SimDuration::from_millis(50),
-            lease: SimDuration::from_millis(150),
-            miss_threshold: 3,
             vnodes: 16,
             resubmit_timeout: SimDuration::from_millis(250),
             bounce_retry: SimDuration::from_millis(5),
             max_reroutes: 200,
-            snapshot_interval: SimDuration::from_millis(100),
             global_rate_per_sec: 0.0,
             global_burst: 32.0,
             readopt: true,
@@ -516,19 +513,6 @@ struct Reroute {
     uid: u64,
 }
 
-/// Tier-controller lease tick. The generation stamp keeps ticks armed
-/// before a crash from firing after the restart re-arms its own.
-#[derive(Debug)]
-struct TierTick {
-    gen: u64,
-}
-
-/// Tier-controller snapshot-cadence tick.
-#[derive(Debug)]
-struct SnapTick {
-    gen: u64,
-}
-
 /// Router statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RouterCounters {
@@ -578,8 +562,8 @@ pub struct ShardRouter {
     /// lease).
     delivered: HashMap<u64, SimTime>,
     counters: RouterCounters,
-    /// Direct peers currently cut (component index → until).
-    cut_from: HashMap<usize, SimTime>,
+    /// Partition windows on direct messages.
+    cut: PartitionCut,
 }
 
 impl ShardRouter {
@@ -599,7 +583,7 @@ impl ShardRouter {
             pending: HashMap::new(),
             delivered: HashMap::new(),
             counters: RouterCounters::default(),
-            cut_from: HashMap::new(),
+            cut: PartitionCut::default(),
         }
     }
 
@@ -635,12 +619,6 @@ impl ShardRouter {
             .collect();
         uids.sort_unstable();
         uids
-    }
-
-    fn is_cut(&self, peer: ComponentId, now: SimTime) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
     }
 
     /// Sends the pending request `uid` to its owner shard.
@@ -738,7 +716,7 @@ impl ShardRouter {
         };
         // A completion cannot arrive from a shard we are partitioned
         // from; the watchdog or a map change recovers the request.
-        if self.is_cut(self.gateways[p.owner as usize], ctx.now()) {
+        if self.cut.blocks(self.gateways[p.owner as usize], ctx.now()) {
             return;
         }
         let bounced = done.failed && done.return_code == Some(RC_FENCED);
@@ -903,13 +881,7 @@ impl Component for ShardRouter {
             Err(other) => other,
         };
         match msg.downcast::<NetCutFrom>() {
-            Ok(c) => {
-                let until = ctx.now() + c.duration;
-                for peer in c.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
-                }
-            }
+            Ok(c) => self.cut.apply(ctx.now(), &c),
             Err(other) => panic!("shard router received unknown message {other:?}"),
         }
     }
@@ -942,14 +914,8 @@ pub struct TierCounters {
     pub budget_rebalances: u64,
 }
 
-/// Per-shard controller-side state.
+/// Per-shard controller-side state beyond the lease view.
 struct ShardState {
-    component: ComponentId,
-    view: ControllerView,
-    /// Consecutive silent renewal rounds.
-    missed: u32,
-    /// Acked the current round.
-    acked: bool,
     /// Administratively retired: never probed for rejoin.
     retired: bool,
     /// The shard's restart count as last acked. A jump means the shard
@@ -957,35 +923,23 @@ struct ShardState {
     incarnation: u64,
 }
 
-/// The tier's membership controller: runs the [`crate::lease`] algebra
-/// over gateway shards, deposes shards whose lease provably expired,
+/// The tier's membership controller: a policy over the shared
+/// [`Membership`] core that deposes shards whose lease provably expired,
 /// re-admits healed shards under bumped epochs, and publishes every
 /// membership change as a new [`ShardMap`] epoch.
 pub struct TierController {
     cfg: TierConfig,
     router: ComponentId,
     shards: Vec<ShardState>,
+    /// Lease/epoch membership over the shards (all start at epoch 1).
+    members: Membership,
     map: Arc<ShardMap>,
-    /// Monotonic renewal round.
-    seq: u64,
+    /// Monotonic renewal round, recorded in every snapshot.
+    round: u64,
     counters: TierCounters,
-    started: bool,
-    /// Direct peers currently cut (component index → until).
-    cut_from: HashMap<usize, SimTime>,
-    /// Crashed: every message except `Restart` is blackholed.
-    crashed: bool,
-    /// Lease-tick generation; bumped on restart so pre-crash ticks die.
-    tick_gen: u64,
-    /// Snapshot-tick generation; bumped on restart likewise.
-    snap_gen: u64,
-    /// Monotonic snapshot sequence.
-    snap_seq: u64,
     /// Modeled stable storage: the last encoded snapshot. Kept as raw
     /// bytes so every restore exercises the real codec path.
     stable: Option<Vec<u8>>,
-    /// A restore ran and its `TierRestore` event is owed at the next
-    /// tick: `(snapshot seq restored, epoch reports reconciled)`.
-    restore_pending: Option<(u64, u64)>,
     /// Handoff ledger: total requests shards reported handing to their
     /// drain successors. Snapshot/restore must conserve it (rule 15).
     ledger_handed_off: u64,
@@ -1010,27 +964,17 @@ impl TierController {
             cfg,
             router,
             shards: gateways
-                .into_iter()
-                .map(|component| ShardState {
-                    component,
-                    view: ControllerView::new(1),
-                    missed: 0,
-                    acked: false,
+                .iter()
+                .map(|_| ShardState {
                     retired: false,
                     incarnation: 0,
                 })
                 .collect(),
+            members: Membership::new(gateways, 1, Reconcile::Merge),
             map,
-            seq: 0,
+            round: 0,
             counters: TierCounters::default(),
-            started: false,
-            cut_from: HashMap::new(),
-            crashed: false,
-            tick_gen: 0,
-            snap_gen: 0,
-            snap_seq: 0,
             stable: None,
-            restore_pending: None,
             ledger_handed_off: 0,
         }
     }
@@ -1063,12 +1007,6 @@ impl TierController {
     /// Overwrites (modeled) stable storage — the corruption test hook.
     pub fn clobber_stable(&mut self, bytes: Vec<u8>) {
         self.stable = Some(bytes);
-    }
-
-    fn is_cut(&self, peer: ComponentId, now: SimTime) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
     }
 
     /// Publishes the current map: one `GwShardMap` trace event (the
@@ -1109,31 +1047,36 @@ impl TierController {
             burst: (self.cfg.global_burst / n).max(1.0),
         };
         for &g in self.map.members() {
-            ctx.send(self.shards[g as usize].component, SimDuration::ZERO, slice);
+            ctx.send(self.members.component(g as usize), SimDuration::ZERO, slice);
         }
     }
 
     /// Writes the controller's durable state to (modeled) stable
     /// storage as encoded bytes, and emits the `TierSnapshot` event
-    /// rule 15 audits.
+    /// rule 15 audits. Runs on the [`TIER_SNAPSHOT_INTERVAL`] cadence
+    /// and at every state transition (depose, rejoin, drain, handoff
+    /// report).
     fn take_snapshot(&mut self, ctx: &mut Ctx<'_>) {
-        self.snap_seq += 1;
         let snap = TierSnapshot {
-            seq: self.snap_seq,
+            seq: self.members.next_snapshot(),
             epoch: self.map.epoch(),
-            round: self.seq,
+            round: self.round,
             handed_off: self.ledger_handed_off,
             vnodes: self.map.vnodes(),
             members: self.map.members().to_vec(),
             shards: self
                 .shards
                 .iter()
-                .map(|s| ShardSnap {
-                    epoch: s.view.epoch,
-                    lease_until_ns: s.view.lease_until.as_nanos(),
-                    incarnation: s.incarnation,
-                    fenced: s.view.fenced,
-                    retired: s.retired,
+                .enumerate()
+                .map(|(g, s)| {
+                    let view = self.members.view(g);
+                    ShardSnap {
+                        epoch: view.epoch,
+                        lease_until_ns: view.lease_until.as_nanos(),
+                        incarnation: s.incarnation,
+                        fenced: view.fenced,
+                        retired: s.retired,
+                    }
                 })
                 .collect(),
         };
@@ -1153,25 +1096,6 @@ impl TierController {
         });
     }
 
-    /// Snapshot at a state transition (depose, rejoin, drain, handoff
-    /// report) — skipped when snapshotting is disabled.
-    fn write_through(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.cfg.snapshot_interval.is_zero() {
-            self.take_snapshot(ctx);
-        }
-    }
-
-    fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
-        if self.crashed {
-            return;
-        }
-        self.crashed = true;
-        ctx.emit(|| TraceEvent::Fault {
-            kind: "tier-controller-crash",
-            detail: 0,
-        });
-    }
-
     /// Recovers the controller: decode the stable snapshot (warm) or
     /// keep reconciling from scratch (cold), conservatively re-bound
     /// every lease, then query the router's map and every live shard's
@@ -1180,17 +1104,11 @@ impl TierController {
     /// trail the router's installed map, and the `MapQuery` reply only
     /// moves the controller forward.
     fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
         ctx.emit(|| TraceEvent::Fault {
             kind: "tier-controller-restart",
             detail: 0,
         });
-        self.tick_gen += 1;
-        self.snap_gen += 1;
-        if !self.started {
+        if !self.members.started() {
             return;
         }
         let now = ctx.now();
@@ -1203,20 +1121,13 @@ impl TierController {
         let restored_seq = match warm {
             Some(snap) => {
                 self.map = Arc::new(ShardMap::new(snap.epoch, &snap.members, snap.vnodes));
-                self.seq = snap.round;
+                self.round = snap.round;
                 self.ledger_handed_off = snap.handed_off;
-                for (s, ss) in self.shards.iter_mut().zip(&snap.shards) {
-                    s.view = ControllerView::restore(
-                        ss.epoch,
-                        ss.fenced,
-                        SimTime::from_nanos(ss.lease_until_ns),
-                        now,
-                        self.cfg.lease,
-                    );
-                    s.retired = ss.retired;
-                    s.incarnation = ss.incarnation;
-                    s.missed = 0;
-                    s.acked = false;
+                for (g, ss) in snap.shards.iter().enumerate() {
+                    let recorded = SimTime::from_nanos(ss.lease_until_ns);
+                    self.members.restore(g, ss.epoch, ss.fenced, recorded, now);
+                    self.shards[g].retired = ss.retired;
+                    self.shards[g].incarnation = ss.incarnation;
                 }
                 snap.seq
             }
@@ -1224,16 +1135,13 @@ impl TierController {
                 // Cold rebuild: the snapshot is missing or rejected by
                 // the codec. Keep the in-memory state (equivalent to
                 // what the reconcile queries below would hand back) but
-                // trust none of its timing: re-bound every unfenced
-                // lease as if a grant left the instant before the
-                // crash.
+                // trust none of its timing: re-bound every lease as if
+                // a grant left the instant before the crash.
                 self.counters.cold_restores += 1;
-                for s in &mut self.shards {
-                    if !s.view.fenced {
-                        s.view.lease_until = s.view.lease_until.max(now + self.cfg.lease);
-                    }
-                    s.missed = 0;
-                    s.acked = false;
+                for g in 0..self.shards.len() {
+                    let view = *self.members.view(g);
+                    self.members
+                        .restore(g, view.epoch, view.fenced, view.lease_until, now);
                 }
                 0
             }
@@ -1241,44 +1149,19 @@ impl TierController {
         // Reconcile: the router's map (never behind stable — every map
         // change writes through before the install leaves) and every
         // live shard's current epoch, all zero-delay so the reports
-        // land before the first post-restore tick.
+        // land before the first post-restore tick. Epoch reports are
+        // max-merged (epochs never move backwards on reconcile); a
+        // fenced shard still rejoins through the handshake.
         let reply_to = ctx.self_id();
         ctx.send(self.router, SimDuration::ZERO, MapQuery { reply_to });
         for g in 0..self.shards.len() {
             if !self.shards[g].retired {
-                ctx.send(
-                    self.shards[g].component,
-                    SimDuration::ZERO,
-                    EpochQuery { reply_to },
-                );
+                self.members.query_epoch(ctx, g);
             }
         }
-        self.restore_pending = Some((restored_seq, 0));
-        ctx.send_self(self.cfg.heartbeat, TierTick { gen: self.tick_gen });
-        if !self.cfg.snapshot_interval.is_zero() {
-            ctx.send_self(self.cfg.snapshot_interval, SnapTick { gen: self.snap_gen });
-        }
-    }
-
-    /// A shard's answer to the restore-time [`EpochQuery`]: adopt the
-    /// fresher of the recorded and reported views (epochs never move
-    /// backwards on reconcile).
-    fn on_epoch_report(&mut self, ctx: &mut Ctx<'_>, report: EpochReport) {
-        if self.is_cut(report.from, ctx.now()) {
-            return;
-        }
-        let Some(g) = self.shards.iter().position(|s| s.component == report.from) else {
-            return;
-        };
-        let s = &mut self.shards[g];
-        s.view.epoch = s.view.epoch.max(report.epoch);
-        s.view.lease_until = s
-            .view
-            .lease_until
-            .max(SimTime::from_nanos(report.lease_until_ns));
-        if let Some((_, reconciled)) = self.restore_pending.as_mut() {
-            *reconciled += 1;
-        }
+        self.members.owe_restore(restored_seq);
+        self.members.arm_round(ctx, TIER_ROUND);
+        self.members.arm_snapshot(ctx, TIER_SNAPSHOT_INTERVAL);
     }
 
     /// The router's reply to the restore-time [`MapQuery`]: adopt its
@@ -1299,12 +1182,12 @@ impl TierController {
         let Some(map) = self.map.exclude(g) else {
             return; // not a member, or the last shard standing
         };
-        let epoch = self.shards[g as usize].view.epoch;
+        let epoch = self.members.view(g as usize).epoch;
         ctx.emit(|| TraceEvent::GwDeposed { gateway: g, epoch });
         self.counters.deposed += 1;
         self.map = Arc::new(map);
         self.install(ctx);
-        self.write_through(ctx);
+        self.take_snapshot(ctx);
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_>) {
@@ -1312,7 +1195,7 @@ impl TierController {
         // tick after the zero-delay reconcile replies have landed. The
         // epoch is read *now* (not at restore time) so a rejoin racing
         // the restore can only push it forward.
-        if let Some((seq, reconciled)) = self.restore_pending.take() {
+        if let Some((seq, reconciled)) = self.members.take_restore() {
             let epoch = self.map.epoch();
             let handed_off = self.ledger_handed_off;
             ctx.emit(|| TraceEvent::TierRestore {
@@ -1324,90 +1207,41 @@ impl TierController {
             self.counters.restores += 1;
         }
         let now = ctx.now();
-        let reply_to = ctx.self_id();
-        self.seq += 1;
-        let seq = self.seq;
+        self.round += 1;
+        self.members.tally();
         for g in 0..self.shards.len() {
-            // Tally the previous round before deciding this one.
-            let (acked, fenced, retired) = {
-                let s = &self.shards[g];
-                (s.acked, s.view.fenced, s.retired)
-            };
-            {
-                let s = &mut self.shards[g];
-                if s.acked {
-                    s.missed = 0;
-                } else {
-                    s.missed = s.missed.saturating_add(1);
-                }
-                s.acked = false;
-            }
-            if retired {
+            if self.shards[g].retired {
                 continue;
             }
-            if fenced {
-                // Rejoin probe: carries the bumped epoch but zero
-                // serving time (see `ControllerView::grant`).
-                let grant = self.shards[g].view.grant(now, self.cfg.lease);
-                ctx.send(
-                    self.shards[g].component,
-                    SimDuration::ZERO,
-                    GrantLease {
-                        epoch: grant.epoch,
-                        until_ns: grant.until.as_nanos(),
-                        seq,
-                        rejoin: true,
-                        reply_to,
-                    },
-                );
-                continue;
-            }
-            let missed = self.shards[g].missed;
             // Never fence the last shard standing: there is no peer to
             // absorb its keys, so deposing it would only halt the tier
             // (and on recovery produce a rejoin with no matching
             // depose). Keep granting; a restarted shard re-enrolls off
             // the next ordinary grant.
             let last_standing = self.map.members().len() == 1 && self.map.contains(g as u32);
-            if missed < self.cfg.miss_threshold || acked || last_standing {
-                // Healthy (or not provably silent): renew.
-                let grant = self.shards[g].view.grant(now, self.cfg.lease);
-                ctx.send(
-                    self.shards[g].component,
-                    SimDuration::ZERO,
-                    GrantLease {
-                        epoch: grant.epoch,
-                        until_ns: grant.until.as_nanos(),
-                        seq,
-                        rejoin: false,
-                        reply_to,
-                    },
-                );
-            } else if self.shards[g].view.try_fence(now) {
+            if self.members.view(g).fenced
+                || self.members.missed(g) < TIER_MISS_THRESHOLD
+                || last_standing
+            {
+                // Healthy (or not provably silent): renew. A fenced
+                // shard gets a rejoin probe instead — the bumped epoch
+                // with zero serving time.
+                self.members.grant(ctx, g);
+            } else if self.members.try_fence(g, now) {
                 // Silent past the threshold and the last grant has
                 // provably expired: the shard has already self-fenced
                 // on its own clock. Depose it.
                 self.depose(ctx, g as u32);
             }
         }
-        ctx.send_self(self.cfg.heartbeat, TierTick { gen: self.tick_gen });
+        self.members.arm_round(ctx, TIER_ROUND);
     }
 
     fn on_ack(&mut self, ctx: &mut Ctx<'_>, ack: LeaseAck) {
-        if self.is_cut(ack.from, ctx.now()) {
-            return;
-        }
-        let Some(g) = self.shards.iter().position(|s| s.component == ack.from) else {
+        let Some((g, rejoined)) = self.members.on_ack(&ack, ctx.now()) else {
             return;
         };
-        let was_fenced = self.shards[g].view.fenced;
-        {
-            let s = &mut self.shards[g];
-            s.acked = true;
-            s.missed = 0;
-        }
-        let now = ctx.now();
-        self.shards[g].view.on_ack(now, ack.epoch, self.cfg.lease);
+        let was_fenced = rejoined || self.members.view(g).fenced;
         if ack.incarnation > self.shards[g].incarnation {
             // The shard restarted since its last ack: whatever it held
             // in flight is gone. Re-adopt its affine clients right now
@@ -1423,18 +1257,18 @@ impl TierController {
                 );
             }
         }
-        if was_fenced && !self.shards[g].view.fenced {
+        if rejoined {
             // Rejoin handshake complete: re-admit under the bumped
             // epoch.
             let gateway = g as u32;
-            let epoch = self.shards[g].view.epoch;
+            let epoch = self.members.view(g).epoch;
             ctx.emit(|| TraceEvent::GwRejoin { gateway, epoch });
             self.counters.rejoined += 1;
             if let Some(map) = self.map.include(gateway) {
                 self.map = Arc::new(map);
                 self.install(ctx);
             }
-            self.write_through(ctx);
+            self.take_snapshot(ctx);
         }
     }
 
@@ -1449,7 +1283,7 @@ impl TierController {
             || self
                 .shards
                 .get(g as usize)
-                .is_none_or(|s| s.view.fenced || s.retired)
+                .is_none_or(|s| s.retired || self.members.view(g as usize).fenced)
         {
             self.counters.drains_refused += 1;
             return;
@@ -1464,16 +1298,16 @@ impl TierController {
         // re-homes). Both are zero-delay; the engine delivers them in
         // post order.
         ctx.send(
-            self.shards[g as usize].component,
+            self.members.component(g as usize),
             SimDuration::ZERO,
             DrainGateway {
-                successor: self.shards[successor as usize].component,
+                successor: self.members.component(successor as usize),
                 successor_gateway: successor,
             },
         );
         // Administrative fence: the shard bounces on its own (draining
         // state), so safety does not rest on lease expiry here.
-        self.shards[g as usize].view.fenced = true;
+        self.members.view_mut(g as usize).fenced = true;
         self.shards[g as usize].retired = !drain.rejoin_after;
         self.depose(ctx, g);
     }
@@ -1485,54 +1319,39 @@ impl Component for TierController {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
-        let msg = match msg.downcast::<Crash>() {
-            Ok(_) => {
-                self.on_crash(ctx);
+        // Down: acks, ticks, drains, and reports all blackhole (in the
+        // membership filter).
+        let msg = match self.members.filter(ctx.now(), msg) {
+            None => return,
+            Some(Signal::Crashed) => {
+                ctx.emit(|| TraceEvent::Fault {
+                    kind: "tier-controller-crash",
+                    detail: 0,
+                });
                 return;
             }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<Restart>() {
-            Ok(_) => {
+            Some(Signal::Restarted) => {
                 self.on_restart(ctx);
                 return;
             }
-            Err(other) => other,
+            Some(Signal::Round) => {
+                self.on_tick(ctx);
+                return;
+            }
+            Some(Signal::Snapshot) => {
+                self.take_snapshot(ctx);
+                self.members.arm_snapshot(ctx, TIER_SNAPSHOT_INTERVAL);
+                return;
+            }
+            Some(Signal::Message(msg)) => msg,
         };
-        if self.crashed {
-            // Down: acks, ticks, drains, and reports all blackhole.
-            drop(msg);
-            return;
-        }
         let msg = match msg.downcast::<StartTier>() {
             Ok(_) => {
-                if !self.started {
-                    self.started = true;
+                if self.members.start() {
                     self.install(ctx);
-                    if !self.cfg.snapshot_interval.is_zero() {
-                        self.take_snapshot(ctx);
-                        ctx.send_self(self.cfg.snapshot_interval, SnapTick { gen: self.snap_gen });
-                    }
-                    self.on_tick(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<TierTick>() {
-            Ok(t) => {
-                if t.gen == self.tick_gen {
-                    self.on_tick(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<SnapTick>() {
-            Ok(t) => {
-                if t.gen == self.snap_gen {
                     self.take_snapshot(ctx);
-                    ctx.send_self(self.cfg.snapshot_interval, SnapTick { gen: t.gen });
+                    self.members.arm_snapshot(ctx, TIER_SNAPSHOT_INTERVAL);
+                    self.on_tick(ctx);
                 }
                 return;
             }
@@ -1554,7 +1373,9 @@ impl Component for TierController {
         };
         let msg = match msg.downcast::<EpochReport>() {
             Ok(r) => {
-                self.on_epoch_report(ctx, *r);
+                // Restore-time reconcile: max-merged by the membership
+                // core.
+                self.members.on_report(&r, ctx.now());
                 return;
             }
             Err(other) => other,
@@ -1566,22 +1387,11 @@ impl Component for TierController {
             }
             Err(other) => other,
         };
-        let msg = match msg.downcast::<HandoffReport>() {
+        match msg.downcast::<HandoffReport>() {
             Ok(r) => {
-                if !self.is_cut(r.from, ctx.now()) {
+                if !self.members.is_cut(r.from, ctx.now()) {
                     self.ledger_handed_off += r.count;
-                    self.write_through(ctx);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        match msg.downcast::<NetCutFrom>() {
-            Ok(c) => {
-                let until = ctx.now() + c.duration;
-                for peer in c.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
+                    self.take_snapshot(ctx);
                 }
             }
             Err(other) => panic!("tier controller received unknown message {other:?}"),

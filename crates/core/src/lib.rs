@@ -57,7 +57,6 @@ pub mod driver;
 pub mod failover;
 pub mod gateway;
 pub mod gwtier;
-pub mod lease;
 pub mod manager;
 pub mod repkv;
 
@@ -82,7 +81,9 @@ pub use gwtier::{
     ClientSubmit, DrainShard, GatewayId, InstallShardMap, PlanetDriver, RouterCounters, ShardMap,
     ShardRouter, StartTier, TierConfig, TierController, TierCounters,
 };
-pub use lease::{provably_expired, ControllerView, Grant, Lease, WorkerView};
+/// The lease/epoch membership protocol (defined in [`lnic_sim::lease`],
+/// where the worker backends share it).
+pub use lnic_sim::lease;
 pub use manager::{DeployDone, DeployWorkload, ManagerConfig, WorkloadManager};
 pub use repkv::{RepKvCounters, RepKvReplica, StartReplica};
 

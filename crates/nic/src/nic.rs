@@ -22,6 +22,8 @@ use lnic_mlambda::program::{DispatchCtx, DispatchResult, Program};
 use lnic_net::frag::Reassembler;
 use lnic_net::packet::{LambdaHdr, LambdaKind, Packet};
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
+use lnic_sim::fault::{EpochQuery, GrantLease, PartitionCut};
+use lnic_sim::lease::{Grant, WorkerView};
 use lnic_sim::prelude::*;
 
 use lnic_tenant::cache::{Access, FirmwareCache};
@@ -300,17 +302,12 @@ pub struct Nic {
     /// latency-based fail-slow detection can see this).
     slow_until: SimTime,
     slow_factor: f64,
-    /// Membership: the fencing token this worker currently serves under.
-    /// Only ever increases; survives crashes (modeled as stable storage,
-    /// as a production epoch would be).
-    lease_epoch: u64,
-    /// Lease expiry. `None` until the first grant arrives (no fencing
-    /// regime: legacy heartbeat-free testbeds keep working); once
-    /// leased, the worker self-fences when the clock passes this.
-    lease_until: Option<SimTime>,
-    /// Partition windows: direct control messages from these component
-    /// indices are blackholed until the stored instant.
-    cut_from: HashMap<usize, SimTime>,
+    /// Membership: the lease this worker serves under. Unleased until
+    /// the first grant (legacy heartbeat-free testbeds keep working);
+    /// once leased, the worker self-fences when it lapses.
+    lease: WorkerView,
+    /// Partition windows on direct control messages.
+    cut: PartitionCut,
     /// NIC-resident services by workload id: intercepted ahead of the
     /// firmware dispatch path and delegated to a co-located component
     /// (the replicated KV replica).
@@ -382,9 +379,8 @@ impl Nic {
             stalled_until: SimTime::ZERO,
             slow_until: SimTime::ZERO,
             slow_factor: 1.0,
-            lease_epoch: 0,
-            lease_until: None,
-            cut_from: HashMap::new(),
+            lease: WorkerView::new(),
+            cut: PartitionCut::default(),
             resident: HashMap::new(),
             resident_pending: HashMap::new(),
             resident_next_token: 0,
@@ -550,39 +546,6 @@ impl Nic {
         self.crashed
     }
 
-    /// The fencing token this worker currently serves under.
-    pub fn lease_epoch(&self) -> u64 {
-        self.lease_epoch
-    }
-
-    /// Whether the worker holds a live lease at `now` (vacuously true
-    /// when no lease regime has ever been established).
-    pub fn lease_live(&self, now: SimTime) -> bool {
-        self.lease_until.is_none_or(|until| now < until)
-    }
-
-    /// Whether a direct control message from `peer` is inside an active
-    /// partition cut.
-    fn is_cut_from(&self, now: SimTime, peer: ComponentId) -> bool {
-        self.cut_from
-            .get(&peer.index())
-            .is_some_and(|&until| now < until)
-    }
-
-    /// Returns the worker's epoch when the given header must be fenced:
-    /// either the worker's own lease lapsed (self-fence until rejoin),
-    /// or the work carries a token older than the current epoch. Epoch
-    /// 0 marks unfenced traffic (worker-to-worker RPCs, testbeds
-    /// without a lease regime) and bypasses the staleness comparison —
-    /// it is still refused once the lease lapses.
-    fn fence_check(&self, hdr: &LambdaHdr, now: SimTime) -> Option<u64> {
-        self.lease_until?;
-        if !self.lease_live(now) || (hdr.epoch != 0 && hdr.epoch < self.lease_epoch) {
-            return Some(self.lease_epoch);
-        }
-        None
-    }
-
     /// Refuses fenced work with a typed `RC_FENCED` reply so the sender
     /// re-resolves the placement instead of waiting out its timer.
     fn reject_fenced(&mut self, ctx: &mut Ctx<'_>, pending: &PendingRequest, worker_epoch: u64) {
@@ -596,7 +559,7 @@ impl Nic {
         });
         let mut resp_hdr = hdr.response_to(lnic_net::packet::RC_FENCED);
         resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = pending
             .reply_template
             .reply_to()
@@ -661,11 +624,8 @@ impl Nic {
         self.swapping = false;
         self.swap_epoch += 1;
         // A lease does not survive a crash: the restarted worker must
-        // not serve until the controller renews it (the epoch itself is
-        // stable storage and persists).
-        if self.lease_until.is_some() {
-            self.lease_until = Some(SimTime::ZERO);
-        }
+        // not serve until the controller renews it.
+        self.lease.lapse();
     }
 
     /// Recovers a crashed NIC: power back on and re-enter service by
@@ -801,7 +761,7 @@ impl Nic {
                 let refuse = |nic: &mut Nic, ctx: &mut Ctx<'_>, code: u16| {
                     let mut resp_hdr = hdr.response_to(code);
                     resp_hdr.queue_depth = nic.queue.len().min(u16::MAX as usize) as u16;
-                    resp_hdr.epoch = nic.lease_epoch;
+                    resp_hdr.epoch = nic.lease.epoch();
                     let reply = packet
                         .reply_to()
                         .lambda(resp_hdr)
@@ -809,7 +769,7 @@ impl Nic {
                         .build();
                     ctx.send(nic.uplink, SimDuration::ZERO, reply);
                 };
-                if let Some(worker_epoch) = self.fence_check(&hdr, ctx.now()) {
+                if let Some(worker_epoch) = self.lease.fence_check(hdr.epoch, ctx.now()) {
                     self.counters.fenced_rejects += 1;
                     ctx.emit(|| TraceEvent::FencedReject {
                         request_id: hdr.request_id,
@@ -950,7 +910,7 @@ impl Nic {
         });
         let mut resp_hdr = hdr.response_to(lnic_net::packet::RC_EXPIRED);
         resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = pending
             .reply_template
             .reply_to()
@@ -964,7 +924,7 @@ impl Nic {
 
     /// Assigns the request to an idle lambda thread or queues it.
     fn admit_to_thread(&mut self, ctx: &mut Ctx<'_>, pending: PendingRequest) {
-        if let Some(epoch) = self.fence_check(&pending.req_hdr, ctx.now()) {
+        if let Some(epoch) = self.lease.fence_check(pending.req_hdr.epoch, ctx.now()) {
             self.reject_fenced(ctx, &pending, epoch);
             return;
         }
@@ -1263,7 +1223,7 @@ impl Nic {
         resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
         // Stamp the epoch the work was served under, so the gateway can
         // discard late replies from fenced epochs.
-        resp_hdr.epoch = self.lease_epoch;
+        resp_hdr.epoch = self.lease.epoch();
         let packet = job
             .reply_template
             .reply_to()
@@ -1314,7 +1274,7 @@ impl Nic {
                 tenant_id: tenant,
                 tenant_weight_milli,
             });
-            if let Some(epoch) = self.fence_check(&pending.req_hdr, ctx.now()) {
+            if let Some(epoch) = self.lease.fence_check(pending.req_hdr.epoch, ctx.now()) {
                 self.reject_fenced(ctx, &pending, epoch);
                 continue;
             }
@@ -1440,11 +1400,7 @@ impl Component for Nic {
         };
         let msg = match msg.downcast::<lnic_sim::fault::NetCutFrom>() {
             Ok(cut) => {
-                let until = ctx.now() + cut.duration;
-                for peer in &cut.peers {
-                    let slot = self.cut_from.entry(peer.index()).or_insert(SimTime::ZERO);
-                    *slot = (*slot).max(until);
-                }
+                self.cut.apply(ctx.now(), &cut);
                 return;
             }
             Err(other) => other,
@@ -1474,91 +1430,57 @@ impl Component for Nic {
                 // The management endpoint answers as long as the NIC has
                 // power — including during firmware swaps — but a
                 // crashed NIC is silent, which is the failure signal.
-                if !self.crashed && !self.is_cut_from(ctx.now(), ping.reply_to) {
+                if !self.crashed && !self.cut.blocks(ping.reply_to, ctx.now()) {
+                    let from = ctx.self_id();
                     ctx.send(
                         ping.reply_to,
                         SimDuration::ZERO,
-                        lnic_sim::fault::HealthPong {
-                            seq: ping.seq,
-                            from: ctx.self_id(),
-                        },
+                        lnic_sim::fault::HealthPong { from },
                     );
                 }
                 return;
             }
             Err(other) => other,
         };
-        let msg = match msg.downcast::<lnic_sim::fault::GrantLease>() {
+        let msg = match msg.downcast::<GrantLease>() {
             Ok(grant) => {
                 // A crashed worker is silent; a partitioned one never
-                // saw the grant. Stale grants (lower epoch than held)
-                // are ignored — fencing tokens never regress.
-                if self.crashed
-                    || self.is_cut_from(ctx.now(), grant.reply_to)
-                    || grant.epoch < self.lease_epoch
-                {
+                // saw the grant.
+                if self.crashed || self.cut.blocks(grant.reply_to, ctx.now()) {
                     return;
                 }
-                let rejoining = grant.rejoin && grant.epoch > self.lease_epoch;
-                let epoch_rose = grant.epoch > self.lease_epoch;
-                self.lease_epoch = grant.epoch;
-                if epoch_rose {
+                let Some(adopted) = self.lease.deliver(Grant::from(*grant)) else {
+                    return;
+                };
+                if adopted.epoch_rose {
                     // The fencing token doubles as a leadership fence:
                     // residents must re-derive any authority they held
                     // under the previous epoch.
                     for &svc in self.resident.values() {
-                        ctx.send(
-                            svc,
-                            SimDuration::ZERO,
-                            ResidentEpoch {
-                                epoch: self.lease_epoch,
-                            },
-                        );
+                        let epoch = adopted.epoch;
+                        ctx.send(svc, SimDuration::ZERO, ResidentEpoch { epoch });
                     }
                 }
-                // Adopt the controller's *absolute* expiry: a grant that
-                // sat in a stalled worker's backlog must not extend the
-                // lease past what the controller recorded at issue time.
-                // (Rejoin probes arrive pre-expired; serving resumes
-                // with the regular grant that follows the ack.)
-                let until = SimTime::from_nanos(grant.until_ns);
-                self.lease_until = Some(self.lease_until.map_or(until, |held| held.max(until)));
-                if rejoining {
+                if adopted.rejoined {
                     // Drop pre-partition placements: everything still
                     // queued was stamped with an older epoch. Refuse it
                     // now so senders re-resolve immediately.
                     while let Some((_, _, pending)) = self.queue.pop() {
-                        self.reject_fenced(ctx, &pending, self.lease_epoch);
+                        self.reject_fenced(ctx, &pending, adopted.epoch);
                     }
                     self.reassembler = Reassembler::new();
                 }
-                ctx.send(
-                    grant.reply_to,
-                    SimDuration::ZERO,
-                    lnic_sim::fault::LeaseAck {
-                        from: ctx.self_id(),
-                        epoch: self.lease_epoch,
-                        seq: grant.seq,
-                        // The swap epoch bumps exactly once per crash.
-                        incarnation: self.swap_epoch,
-                    },
-                );
+                // The swap epoch bumps exactly once per crash.
+                adopted.ack(ctx, grant.reply_to, self.swap_epoch);
                 return;
             }
             Err(other) => other,
         };
-        let msg = match msg.downcast::<lnic_sim::fault::EpochQuery>() {
+        let msg = match msg.downcast::<EpochQuery>() {
             Ok(q) => {
-                if !self.crashed && !self.is_cut_from(ctx.now(), q.reply_to) {
-                    ctx.send(
-                        q.reply_to,
-                        SimDuration::ZERO,
-                        lnic_sim::fault::EpochReport {
-                            from: ctx.self_id(),
-                            epoch: self.lease_epoch,
-                            lease_until_ns: self.lease_until.map_or(0, |t| t.as_nanos()),
-                        },
-                    );
+                if !self.crashed && !self.cut.blocks(q.reply_to, ctx.now()) {
+                    let report = self.lease.report(ctx.self_id());
+                    ctx.send(q.reply_to, SimDuration::ZERO, report);
                 }
                 return;
             }
@@ -1601,7 +1523,7 @@ impl Component for Nic {
                 };
                 let mut resp_hdr = reply.req_hdr.response_to(done.return_code);
                 resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-                resp_hdr.epoch = self.lease_epoch;
+                resp_hdr.epoch = self.lease.epoch();
                 let packet = reply
                     .reply_template
                     .reply_to()
@@ -1680,7 +1602,7 @@ impl Component for Nic {
                     self.counters.dropped_crashed += 1;
                     return;
                 }
-                if self.lease_until.is_some() && lf.epoch < self.lease_epoch {
+                if self.lease.is_stale(lf.epoch) {
                     // A deploy stamped before this worker's last rejoin:
                     // the placement decision behind it has been fenced.
                     self.counters.fenced_rejects += 1;
@@ -1688,7 +1610,7 @@ impl Component for Nic {
                         request_id: 0,
                         workload_id: 0,
                         hdr_epoch: lf.epoch,
-                        worker_epoch: self.lease_epoch,
+                        worker_epoch: self.lease.epoch(),
                     });
                     return;
                 }

@@ -12,9 +12,13 @@
 //!
 //! This module also defines the component-level control messages
 //! ([`Crash`], [`Restart`], [`StallFor`], [`LinkDown`], [`LossBurst`],
-//! [`HealthPing`]/[`HealthPong`]) in the sim crate so every backend
-//! (NIC, host, links, controllers) can downcast them without new
-//! inter-crate dependencies.
+//! [`HealthPing`]/[`HealthPong`], the lease messages that
+//! [`crate::lease`] speaks) in the sim crate so every backend (NIC,
+//! host, links, controllers) can downcast them without new inter-crate
+//! dependencies, plus [`PartitionCut`], the one receiving side of a
+//! [`NetCutFrom`].
+
+use std::collections::HashMap;
 
 use crate::engine::ComponentId;
 use crate::time::{SimDuration, SimTime};
@@ -105,12 +109,10 @@ pub struct Corrupt {
 
 /// Health probe sent by a controller to a worker.
 ///
-/// Live workers answer with [`HealthPong`] carrying the same sequence
-/// number; crashed workers stay silent, which is the failure signal.
+/// Live workers answer with [`HealthPong`]; crashed workers stay
+/// silent, which is the failure signal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HealthPing {
-    /// Sequence number echoed in the pong.
-    pub seq: u64,
     /// Where to send the pong.
     pub reply_to: ComponentId,
 }
@@ -118,8 +120,6 @@ pub struct HealthPing {
 /// A worker's answer to a [`HealthPing`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HealthPong {
-    /// The probed sequence number.
-    pub seq: u64,
     /// The responding component.
     pub from: ComponentId,
 }
@@ -145,8 +145,6 @@ pub struct GrantLease {
     pub epoch: u64,
     /// Absolute instant (ns) the lease runs out.
     pub until_ns: u64,
-    /// Renewal round (echoed in the [`LeaseAck`]).
-    pub seq: u64,
     /// Set on the first grant after a fence: the worker bumps its epoch
     /// and discards placements stamped with older epochs.
     pub rejoin: bool,
@@ -161,8 +159,6 @@ pub struct LeaseAck {
     pub from: ComponentId,
     /// The epoch the worker now holds.
     pub epoch: u64,
-    /// The renewal round being acked.
-    pub seq: u64,
     /// The acker's restart count (0 if it never crashed). A controller
     /// that sees this jump between acks knows the member lost its
     /// volatile state even though the lease handshake looks healthy —
@@ -202,6 +198,32 @@ pub struct NetCutFrom {
     pub peers: Vec<ComponentId>,
     /// How long the cut lasts.
     pub duration: SimDuration,
+}
+
+/// The receiving side of [`NetCutFrom`]: which peers' direct control
+/// messages a component currently treats as blackholed, and until when.
+/// Overlapping cuts from the same peer extend to the later end.
+#[derive(Clone, Debug, Default)]
+pub struct PartitionCut {
+    until: HashMap<usize, SimTime>,
+}
+
+impl PartitionCut {
+    /// Records a cut delivered at `now`.
+    pub fn apply(&mut self, now: SimTime, cut: &NetCutFrom) {
+        let until = now + cut.duration;
+        for peer in &cut.peers {
+            let slot = self.until.entry(peer.index()).or_insert(SimTime::ZERO);
+            *slot = (*slot).max(until);
+        }
+    }
+
+    /// Whether a direct message from `peer` is dropped at `now`.
+    pub fn blocks(&self, peer: ComponentId, now: SimTime) -> bool {
+        self.until
+            .get(&peer.index())
+            .is_some_and(|&until| now < until)
+    }
 }
 
 /// One scheduled failure against a logical target.
