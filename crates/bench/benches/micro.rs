@@ -16,7 +16,7 @@ use lnic_net::frag::{fragment, Reassembler};
 use lnic_net::packet::{LambdaHdr, LambdaKind, Packet};
 use lnic_sim::prelude::*;
 use lnic_workloads::image::RgbaImage;
-use lnic_workloads::{benchmark_program, web_program, SuiteConfig};
+use lnic_workloads::{benchmark_program, tenant_fleet_program, web_program, SuiteConfig};
 
 fn bench_event_queue(c: &mut Criterion) {
     #[derive(Debug)]
@@ -167,6 +167,16 @@ fn bench_compiler(c: &mut Criterion) {
                     .len(),
             )
         })
+    });
+    // The wide multi-tenant catalog (~60k words): its pages fault in
+    // from external memory, so it compiles against an unbounded store.
+    let fleet = tenant_fleet_program(100, 600);
+    let unbounded = CompileOptions {
+        instruction_store_words: 1 << 20,
+        ..CompileOptions::optimized()
+    };
+    c.bench_function("mlambda/compile_tenant_fleet_100x600", |b| {
+        b.iter(|| black_box(compile(&fleet, &unbounded).unwrap().binary.len()))
     });
     let fw = compile(&program, &CompileOptions::optimized()).unwrap();
     c.bench_function("mlambda/match_dispatch", |b| {

@@ -302,7 +302,7 @@ fn native_runtime_study() {
         let program = web_program(&SuiteConfig::default());
         let fw = compile(&program, &CompileOptions::optimized()).unwrap();
         let native = HostBackend::new(HostParams::native(56), w.mac, w.addr.ip, uplink)
-            .preload(Arc::new(fw.program.clone()));
+            .preload(Arc::new(fw.program));
         let id = bed.sim.add(native);
         let port = bed.sim.add(Link::new(id, LinkParams::ten_gbps()));
         bed.sim

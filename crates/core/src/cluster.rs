@@ -503,23 +503,13 @@ impl Testbed {
         opts: &lnic_mlambda::compile::CompileOptions,
     ) {
         use lnic_mlambda::compile::compile;
-        let firmware = Arc::new(compile(program, opts).expect("program compiles"));
-        for worker in &self.workers {
-            match self.backend {
-                BackendKind::Nic => {
-                    self.sim
-                        .get_mut::<Nic>(worker.component)
-                        .expect("worker is a NIC")
-                        .install_now(Arc::clone(&firmware));
-                }
-                BackendKind::BareMetal | BackendKind::Container => {
-                    self.sim.post(
-                        worker.component,
-                        SimDuration::ZERO,
-                        lnic_host::DeployProgram::unfenced(Arc::new(firmware.program.clone())),
-                    );
-                }
-            }
+        let firmware = Arc::new(
+            compile(program, opts)
+                .expect("program compiles")
+                .into_image(),
+        );
+        for worker in 0..self.workers.len() {
+            self.install_image(worker, &firmware);
         }
         // Placements: all workloads on all workers; every gateway shard
         // targets worker (id % workers) for spread.
@@ -558,20 +548,27 @@ impl Testbed {
     ) {
         use lnic_mlambda::compile::compile;
         let opts = lnic_mlambda::compile::CompileOptions::optimized();
-        let firmware = Arc::new(compile(program, &opts).expect("program compiles"));
-        let worker = &self.workers[worker];
+        let firmware = compile(program, &opts).expect("program compiles");
+        self.install_image(worker, &Arc::new(firmware.into_image()));
+    }
+
+    /// Installs `image` on one worker at once: the NIC takes the image,
+    /// a host backend its program. Every worker shares the image's one
+    /// program.
+    fn install_image(&mut self, worker: usize, image: &Arc<lnic_mlambda::compile::Image>) {
+        let component = self.workers[worker].component;
         match self.backend {
             BackendKind::Nic => {
                 self.sim
-                    .get_mut::<Nic>(worker.component)
+                    .get_mut::<Nic>(component)
                     .expect("worker is a NIC")
-                    .install_now(firmware);
+                    .install_now(Arc::clone(image));
             }
             BackendKind::BareMetal | BackendKind::Container => {
                 self.sim.post(
-                    worker.component,
+                    component,
                     SimDuration::ZERO,
-                    lnic_host::DeployProgram::unfenced(Arc::new(firmware.program.clone())),
+                    lnic_host::DeployProgram::unfenced(Arc::clone(&image.program)),
                 );
             }
         }
@@ -594,7 +591,9 @@ impl Testbed {
     ) {
         use lnic_mlambda::compile::{compile, CompileOptions};
         let firmware = Arc::new(
-            compile(nic_program, &CompileOptions::optimized()).expect("nic program compiles"),
+            compile(nic_program, &CompileOptions::optimized())
+                .expect("nic program compiles")
+                .into_image(),
         );
         for (worker, host) in self.workers.iter().zip(&self.worker_hosts) {
             let host = host.expect("preload_split requires a hybrid testbed");

@@ -8,7 +8,10 @@
 //! with setuptools/Wheel for bare metal, and the Docker image with
 //! pull/extract/engine start for containers.
 
+use std::borrow::Borrow;
+
 use lnic_mlambda::compile::Firmware;
+use lnic_mlambda::program::Program;
 use lnic_sim::time::SimDuration;
 
 /// Which serving stack a deployment targets.
@@ -77,7 +80,11 @@ impl DeployParams {
     /// The deployable artifact size for `kind` (Table 4's "workload
     /// size"), given the compiled firmware (its words and object data
     /// ride on top of each backend's base artifact).
-    pub fn artifact_bytes(&self, kind: BackendKind, firmware: &Firmware) -> u64 {
+    pub fn artifact_bytes(
+        &self,
+        kind: BackendKind,
+        firmware: &Firmware<impl Borrow<Program>>,
+    ) -> u64 {
         let payload = firmware.size_bytes();
         match kind {
             BackendKind::Nic => self.nic_firmware_base_bytes + payload,

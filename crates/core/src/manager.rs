@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lnic_mlambda::compile::{compile, CompileError, CompileOptions, Firmware, OptReport};
+use lnic_mlambda::compile::{compile, CompileError, CompileOptions, Image, OptReport};
 use lnic_mlambda::program::Program;
 use lnic_raft::{ClientOp, ClientReply, ClientRequest, Command};
 use lnic_sim::prelude::*;
@@ -80,7 +80,7 @@ struct DeploymentReady {
 }
 
 struct PendingDeployment {
-    firmware: Arc<Firmware>,
+    firmware: Arc<Image>,
     reply_to: ComponentId,
     token: u64,
     started_at: SimTime,
@@ -142,7 +142,7 @@ impl WorkloadManager {
 
     fn on_deploy(&mut self, ctx: &mut Ctx<'_>, req: DeployWorkload) {
         let firmware = match compile(&req.program, &self.cfg.compile) {
-            Ok(fw) => Arc::new(fw),
+            Ok(fw) => Arc::new(fw.into_image()),
             Err(e) => {
                 ctx.send(
                     req.reply_to,
@@ -210,7 +210,7 @@ impl WorkloadManager {
                 ctx.send(
                     target,
                     SimDuration::ZERO,
-                    lnic_host::DeployProgram::unfenced(Arc::new(firmware.program.clone())),
+                    lnic_host::DeployProgram::unfenced(Arc::clone(&firmware.program)),
                 );
                 SimDuration::ZERO
             }

@@ -260,6 +260,11 @@ impl HostBackend {
         self
     }
 
+    /// The deployed program (`None` before a deploy and while crashed).
+    pub fn program(&self) -> Option<&Arc<Program>> {
+        self.program.as_ref()
+    }
+
     /// The backend's MAC address.
     pub fn mac(&self) -> MacAddr {
         self.mac

@@ -76,6 +76,12 @@ impl FnBuilder {
         self
     }
 
+    /// Appends raw instructions in one bulk append.
+    pub fn instrs(mut self, instrs: impl IntoIterator<Item = Instr>) -> Self {
+        self.body.extend(instrs);
+        self
+    }
+
     /// `r[dst] = value`
     pub fn constant(self, dst: Reg, value: u64) -> Self {
         self.instr(Instr::Const { dst, value })

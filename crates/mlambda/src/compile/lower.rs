@@ -108,91 +108,164 @@ fn lambda_header_classes(lambda: &Lambda) -> BTreeSet<HeaderClass> {
     classes
 }
 
-fn emit_parser(words: &mut Vec<Word>, classes: &BTreeSet<HeaderClass>) {
+/// Where the emit path writes: the image itself, or just its length.
+/// Both sinks see the same word sequence, so a count is the exact
+/// length of the image [`lower`] would build.
+trait Sink {
+    /// Appends `n` copies of `word`.
+    fn push_n(&mut self, n: usize, word: Word);
+
+    /// Appends the word for one IR instruction.
+    fn push_ir(&mut self, instr: &Instr);
+
+    /// Words emitted so far.
+    fn len(&self) -> usize;
+}
+
+impl Sink for Vec<Word> {
+    fn push_n(&mut self, n: usize, word: Word) {
+        self.extend(std::iter::repeat_n(word, n));
+    }
+
+    fn push_ir(&mut self, instr: &Instr) {
+        self.push(Word::Ir(instr.clone()));
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+/// The counting sink: a word count, no image.
+impl Sink for usize {
+    fn push_n(&mut self, n: usize, _: Word) {
+        *self += n;
+    }
+
+    fn push_ir(&mut self, _: &Instr) {
+        *self += 1;
+    }
+
+    fn len(&self) -> usize {
+        *self
+    }
+}
+
+fn emit_parser(words: &mut impl Sink, classes: &BTreeSet<HeaderClass>) {
     for &class in classes {
-        for _ in 0..parser_words(class) {
-            words.push(Word::Parse(class));
-        }
+        words.push_n(parser_words(class), Word::Parse(class));
     }
 }
 
 /// Generic table-engine lowering: setup + key extraction + per-entry
 /// compare/action.
-fn emit_table_engine(words: &mut Vec<Word>, table: &MatchTable) {
-    for _ in 0..3 {
-        words.push(Word::TableSetup);
-    }
-    for _ in &table.keys {
-        words.push(Word::TableKey);
-    }
+fn emit_table_engine(words: &mut impl Sink, table: &MatchTable) {
+    words.push_n(3, Word::TableSetup);
+    words.push_n(table.keys.len(), Word::TableKey);
     for e in &table.entries {
-        for _ in 0..e.values.len() {
-            words.push(Word::TableCmp);
-        }
-        words.push(Word::TableAction);
-        words.push(Word::TableAction);
+        words.push_n(e.values.len(), Word::TableCmp);
+        words.push_n(2, Word::TableAction);
     }
 }
 
 /// If-else lowering: one extraction per key, then compare+action per
 /// entry ("the P4 tables are converted into if-else sequences, which the
 /// NIC core can execute more efficiently", §5.1).
-fn emit_table_if_else(words: &mut Vec<Word>, table: &MatchTable) {
-    for _ in &table.keys {
-        words.push(Word::TableKey);
-    }
+fn emit_table_if_else(words: &mut impl Sink, table: &MatchTable) {
+    words.push_n(table.keys.len(), Word::TableKey);
     for e in &table.entries {
-        for _ in 0..e.values.len() {
-            words.push(Word::TableCmp);
-        }
-        words.push(Word::TableAction);
+        words.push_n(e.values.len(), Word::TableCmp);
+        words.push_n(1, Word::TableAction);
     }
 }
 
 /// Words for one IR instruction given its objects' placements.
 fn emit_instr(
-    words: &mut Vec<Word>,
+    words: &mut impl Sink,
     instr: &Instr,
     placement: Option<&[MemLevel]>,
     spec: &MemorySpec,
 ) {
-    let setup = |obj: ObjId| -> u32 {
-        match placement {
+    let mut setup = |obj: ObjId| {
+        let n = match placement {
             Some(p) => spec.level(p[obj.0 as usize]).access_setup_words,
             None => spec.emem.access_setup_words,
-        }
+        };
+        words.push_n(n as usize, Word::MemSetup(obj));
     };
-    match instr {
-        Instr::Load { obj, .. } | Instr::Store { obj, .. } => {
-            for _ in 0..setup(*obj) {
-                words.push(Word::MemSetup(*obj));
-            }
-            words.push(Word::Ir(instr.clone()));
-        }
+    match *instr {
+        Instr::Load { obj, .. } | Instr::Store { obj, .. } => setup(obj),
         Instr::EmitObj { obj, .. } | Instr::PayloadToObj { obj, .. } => {
-            for _ in 0..setup(*obj) {
-                words.push(Word::MemSetup(*obj));
-            }
-            words.push(Word::BulkSetup);
-            words.push(Word::BulkSetup);
-            words.push(Word::Ir(instr.clone()));
+            setup(obj);
+            words.push_n(2, Word::BulkSetup);
         }
         Instr::NetRpc {
             req_obj, resp_obj, ..
         } => {
-            for _ in 0..setup(*req_obj) {
-                words.push(Word::MemSetup(*req_obj));
-            }
-            for _ in 0..setup(*resp_obj) {
-                words.push(Word::MemSetup(*resp_obj));
-            }
-            for _ in 0..5 {
-                words.push(Word::RpcSetup);
-            }
-            words.push(Word::Ir(instr.clone()));
+            setup(req_obj);
+            setup(resp_obj);
+            words.push_n(5, Word::RpcSetup);
         }
-        other => words.push(Word::Ir(other.clone())),
+        _ => {}
     }
+    words.push_ir(instr);
+}
+
+/// The one emit path behind [`lower`] and [`count_words`].
+fn emit(
+    words: &mut impl Sink,
+    program: &Program,
+    placements: &Placements,
+    spec: &MemorySpec,
+    opts: LowerOptions,
+) -> Sections {
+    let mut sections = Sections::default();
+
+    // Parser + match stage.
+    let before = words.len();
+    if opts.per_lambda_stages {
+        for lambda in &program.lambdas {
+            emit_parser(words, &lambda_header_classes(lambda));
+        }
+    } else {
+        let mut classes = BTreeSet::new();
+        for lambda in &program.lambdas {
+            classes.extend(lambda_header_classes(lambda));
+        }
+        emit_parser(words, &classes);
+    }
+    sections.parser = words.len() - before;
+
+    let before = words.len();
+    for table in &program.tables {
+        if opts.per_lambda_stages {
+            emit_table_engine(words, table);
+        } else {
+            emit_table_if_else(words, table);
+        }
+    }
+    sections.match_stage = words.len() - before;
+
+    // Lambda bodies.
+    let before = words.len();
+    for (li, lambda) in program.lambdas.iter().enumerate() {
+        let placement = placements.get(li).map(|v| v.as_slice());
+        for instr in lambda.instrs() {
+            emit_instr(words, instr, placement, spec);
+        }
+    }
+    sections.lambdas = words.len() - before;
+
+    // Shared library: its object accesses are charged as external
+    // memory, whichever lambda calls it.
+    let before = words.len();
+    for function in &program.shared {
+        for instr in &function.body {
+            emit_instr(words, instr, None, spec);
+        }
+    }
+    sections.shared = words.len() - before;
+    sections
 }
 
 /// Lowers `program` into a per-core binary.
@@ -206,55 +279,20 @@ pub fn lower(
     opts: LowerOptions,
 ) -> CoreBinary {
     let mut words = Vec::new();
-    let mut sections = Sections::default();
-
-    // Parser + match stage.
-    let before = words.len();
-    if opts.per_lambda_stages {
-        for lambda in &program.lambdas {
-            emit_parser(&mut words, &lambda_header_classes(lambda));
-        }
-    } else {
-        let mut classes = BTreeSet::new();
-        for lambda in &program.lambdas {
-            classes.extend(lambda_header_classes(lambda));
-        }
-        emit_parser(&mut words, &classes);
-    }
-    sections.parser = words.len() - before;
-
-    let before = words.len();
-    for table in &program.tables {
-        if opts.per_lambda_stages {
-            emit_table_engine(&mut words, table);
-        } else {
-            emit_table_if_else(&mut words, table);
-        }
-    }
-    sections.match_stage = words.len() - before;
-
-    // Lambda bodies.
-    let before = words.len();
-    for (li, lambda) in program.lambdas.iter().enumerate() {
-        let placement = placements.get(li).map(|v| v.as_slice());
-        for function in &lambda.functions {
-            for instr in &function.body {
-                emit_instr(&mut words, instr, placement, spec);
-            }
-        }
-    }
-    sections.lambdas = words.len() - before;
-
-    // Shared library (touches no objects by construction).
-    let before = words.len();
-    for function in &program.shared {
-        for instr in &function.body {
-            emit_instr(&mut words, instr, None, spec);
-        }
-    }
-    sections.shared = words.len() - before;
-
+    let sections = emit(&mut words, program, placements, spec, opts);
     CoreBinary { words, sections }
+}
+
+/// The word count of the image [`lower`] builds, without building it.
+pub fn count_words(
+    program: &Program,
+    placements: &Placements,
+    spec: &MemorySpec,
+    opts: LowerOptions,
+) -> usize {
+    let mut words = 0;
+    emit(&mut words, program, placements, spec, opts);
+    words
 }
 
 #[cfg(test)]

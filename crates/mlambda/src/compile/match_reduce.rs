@@ -24,13 +24,14 @@ pub struct MatchReduceReport {
 /// Merges all workload-id-keyed tables into a single table whose entries
 /// carry the route parameters as match data. Tables keyed on other fields
 /// are preserved untouched (they express policy the pass cannot merge).
-pub fn match_reduce(program: &Program) -> (Program, MatchReduceReport) {
+/// Only the tables change, so the pass takes the program by value and
+/// leaves its lambdas where they are.
+pub fn match_reduce(mut p: Program) -> (Program, MatchReduceReport) {
     let mut report = MatchReduceReport {
-        tables_before: program.tables.len(),
-        entries_before: program.tables.iter().map(|t| t.entries.len()).sum(),
+        tables_before: p.tables.len(),
+        entries_before: p.tables.iter().map(|t| t.entries.len()).sum(),
         ..Default::default()
     };
-    let mut p = program.clone();
 
     // Fold every single-key WorkloadId table in order, keeping the first
     // selected lambda and the last non-empty params per id — exactly the
@@ -39,23 +40,28 @@ pub fn match_reduce(program: &Program) -> (Program, MatchReduceReport) {
     let mut index_of: HashMap<u64, usize> = HashMap::new();
     let mut kept: Vec<MatchTable> = Vec::new();
 
-    for table in &p.tables {
+    for table in std::mem::take(&mut p.tables) {
         if table.keys != [MatchKey::WorkloadId] {
-            kept.push(table.clone());
+            kept.push(table);
             continue;
         }
-        for entry in &table.entries {
+        let MatchTable {
+            name,
+            keys,
+            entries,
+        } = table;
+        for entry in entries {
             let id = entry.values[0];
-            match &entry.action {
+            match entry.action {
                 MatchAction::Invoke { lambda, params } => match index_of.get(&id) {
                     Some(&i) => {
-                        if merged[i].1 == *lambda && !params.is_empty() {
-                            merged[i].2 = params.clone();
+                        if merged[i].1 == lambda && !params.is_empty() {
+                            merged[i].2 = params;
                         }
                     }
                     None => {
                         index_of.insert(id, merged.len());
-                        merged.push((id, *lambda, params.clone()));
+                        merged.push((id, lambda, params));
                     }
                 },
                 MatchAction::SendToHost => {
@@ -63,9 +69,12 @@ pub fn match_reduce(program: &Program) -> (Program, MatchReduceReport) {
                     // preserve it as its own row if the id is unknown.
                     if !index_of.contains_key(&id) {
                         kept.push(MatchTable {
-                            name: table.name.clone(),
-                            keys: table.keys.clone(),
-                            entries: vec![entry.clone()],
+                            name: name.clone(),
+                            keys: keys.clone(),
+                            entries: vec![MatchEntry {
+                                values: entry.values,
+                                action: MatchAction::SendToHost,
+                            }],
                         });
                     }
                 }
@@ -120,7 +129,7 @@ mod tests {
     fn tables_merge_to_one() {
         let p = program_with(&[(1, vec![10]), (2, vec![20, 21]), (3, vec![])]);
         assert_eq!(p.tables.len(), 6);
-        let (out, report) = match_reduce(&p);
+        let (out, report) = match_reduce(p.clone());
         assert_eq!(out.tables.len(), 1);
         assert_eq!(out.tables[0].entries.len(), 3);
         assert_eq!(report.tables_before, 6);
@@ -132,7 +141,7 @@ mod tests {
     #[test]
     fn dispatch_equivalent_for_known_and_unknown_ids() {
         let p = program_with(&[(1, vec![10]), (7, vec![70])]);
-        let (out, _) = match_reduce(&p);
+        let (out, _) = match_reduce(p.clone());
         for wid in [0u32, 1, 2, 7, 100] {
             for has in [true, false] {
                 let ctx = DispatchCtx {
@@ -156,7 +165,7 @@ mod tests {
                 action: MatchAction::SendToHost,
             }],
         });
-        let (out, _) = match_reduce(&p);
+        let (out, _) = match_reduce(p.clone());
         assert_eq!(out.tables.len(), 2);
         assert_eq!(out.tables[1].name, "port_policy");
         // A DNS packet still goes to the host.
@@ -184,7 +193,7 @@ mod tests {
                 .map(|(i, &id)| (id, params[i % params.len()].clone()))
                 .collect();
             let p = program_with(&spec);
-            let (out, _) = match_reduce(&p);
+            let (out, _) = match_reduce(p.clone());
             for (wid, has) in probes {
                 let ctx = DispatchCtx { workload_id: wid, has_lambda_hdr: has, ..Default::default() };
                 prop_assert_eq!(p.dispatch(&ctx), out.dispatch(&ctx));

@@ -12,14 +12,16 @@ pub mod lower;
 pub mod match_reduce;
 pub mod stratify;
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::memory::{MemLevel, MemorySpec};
 use crate::program::{Program, ValidateError};
 
 pub use coalesce::{coalesce, CoalesceReport};
 pub use fold::{fold_constants, FoldReport};
-pub use lower::{CoreBinary, LowerOptions, Sections, Word};
+pub use lower::{count_words, CoreBinary, LowerOptions, Sections, Word};
 pub use match_reduce::{match_reduce, MatchReduceReport};
 pub use stratify::{naive_placements, stratify, Placements, StratifyReport};
 
@@ -104,10 +106,14 @@ impl OptReport {
 }
 
 /// A compiled firmware image ready to load onto a (simulated) SmartNIC.
+///
+/// `P` is how the image holds its program: [`compile`] returns it by
+/// value, and [`Firmware::into_image`] moves it into the one shared
+/// allocation that every worker running the image executes.
 #[derive(Clone, Debug)]
-pub struct Firmware {
+pub struct Firmware<P = Program> {
     /// The post-pass program the NIC runtime executes.
-    pub program: Program,
+    pub program: P,
     /// Object placements: `placements[lambda][object]`.
     pub placements: Placements,
     /// The per-core binary.
@@ -131,7 +137,25 @@ pub struct PassInfo {
     pub stratify: StratifyReport,
 }
 
+/// A firmware image as workers hold it. Every worker that runs one image
+/// shares its single `Arc<Program>`: installing, re-installing after a
+/// restart and swapping in an image never copy the program.
+pub type Image = Firmware<Arc<Program>>;
+
 impl Firmware {
+    /// Moves the program into a shared allocation, without copying it.
+    pub fn into_image(self) -> Image {
+        Firmware {
+            program: Arc::new(self.program),
+            placements: self.placements,
+            binary: self.binary,
+            report: self.report,
+            pass_info: self.pass_info,
+        }
+    }
+}
+
+impl<P: Borrow<Program>> Firmware<P> {
     /// Total instruction-store words of the per-core binary.
     pub fn instruction_words(&self) -> usize {
         self.binary.len()
@@ -142,6 +166,7 @@ impl Firmware {
     pub fn size_bytes(&self) -> u64 {
         let data: u64 = self
             .program
+            .borrow()
             .lambdas
             .iter()
             .flat_map(|l| l.objects.iter())
@@ -236,17 +261,17 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Firmware, Com
 
     let mut pass_info = PassInfo::default();
 
-    // Stage 0: unoptimized measurement (of the program as authored).
+    // The per-stage Figure 9 counts come from the counting sink of the
+    // emit path; only the final stage is lowered into an image.
     let naive_opts = LowerOptions {
         per_lambda_stages: true,
     };
-    let unoptimized = lower::lower(
-        program,
-        &naive_placements(program),
-        &opts.memory,
-        naive_opts,
-    )
-    .len();
+    let count = |p: &Program, lower_opts| {
+        lower::count_words(p, &naive_placements(p), &opts.memory, lower_opts)
+    };
+
+    // Stage 0: unoptimized measurement (of the program as authored).
+    let unoptimized = count(program, naive_opts);
 
     // Extension stage: constant folding (before coalescing so folded
     // helper bodies still dedup byte-identically).
@@ -268,12 +293,11 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Firmware, Com
     } else {
         input.clone()
     };
-    let after_coalescing =
-        lower::lower(&p1, &naive_placements(&p1), &opts.memory, naive_opts).len();
+    let after_coalescing = count(&p1, naive_opts);
 
     // Stage 2: match reduction.
     let (p2, lower_opts) = if opts.match_reduce {
-        let (p, rep) = match_reduce(&p1);
+        let (p, rep) = match_reduce(p1);
         pass_info.match_reduce = rep;
         (
             p,
@@ -284,8 +308,7 @@ pub fn compile(program: &Program, opts: &CompileOptions) -> Result<Firmware, Com
     } else {
         (p1, naive_opts)
     };
-    let after_match_reduction =
-        lower::lower(&p2, &naive_placements(&p2), &opts.memory, lower_opts).len();
+    let after_match_reduction = count(&p2, lower_opts);
 
     // Stage 3: memory stratification.
     let placements = if opts.stratify {

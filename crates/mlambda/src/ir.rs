@@ -369,35 +369,73 @@ pub enum Instr {
     },
 }
 
+/// Up to `N` operands of one instruction, held inline so that reading
+/// them never allocates. Derefs to the slice of operands present.
+#[derive(Clone, Copy)]
+pub struct Operands<T, const N: usize> {
+    items: [T; N],
+    len: u8,
+}
+
+impl<T: Copy, const N: usize> Operands<T, N> {
+    /// `src` padded with `fill` (never visible through the slice).
+    fn new(fill: T, src: &[T]) -> Self {
+        let mut items = [fill; N];
+        items[..src.len()].copy_from_slice(src);
+        Operands {
+            items,
+            len: src.len() as u8,
+        }
+    }
+}
+
+impl<T, const N: usize> std::ops::Deref for Operands<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<T, const N: usize> IntoIterator for Operands<T, N> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len as usize)
+    }
+}
+
 impl Instr {
     /// Registers read by this instruction.
-    pub fn reads(&self) -> Vec<Reg> {
+    pub fn reads(&self) -> Operands<Reg, 4> {
+        let regs = |src: &[Reg]| Operands::new(0, src);
         match *self {
-            Instr::Const { .. } | Instr::LoadHdr { .. } | Instr::LoadMatchData { .. } => vec![],
-            Instr::Mov { src, .. } => vec![src],
-            Instr::Alu { a, b, .. } => vec![a, b],
-            Instr::AluImm { a, .. } => vec![a],
-            Instr::Load { addr, .. } => vec![addr],
-            Instr::Store { addr, src, .. } => vec![addr, src],
-            Instr::LoadPayload { addr, .. } => vec![addr],
-            Instr::Emit { src, .. } => vec![src],
-            Instr::EmitObj { off, len, .. } => vec![off, len],
+            Instr::Const { .. } | Instr::LoadHdr { .. } | Instr::LoadMatchData { .. } => regs(&[]),
+            Instr::Mov { src, .. } => regs(&[src]),
+            Instr::Alu { a, b, .. } => regs(&[a, b]),
+            Instr::AluImm { a, .. } => regs(&[a]),
+            Instr::Load { addr, .. } => regs(&[addr]),
+            Instr::Store { addr, src, .. } => regs(&[addr, src]),
+            Instr::LoadPayload { addr, .. } => regs(&[addr]),
+            Instr::Emit { src, .. } => regs(&[src]),
+            Instr::EmitObj { off, len, .. } => regs(&[off, len]),
             Instr::PayloadToObj {
                 src_off,
                 dst_off,
                 len,
                 ..
-            } => vec![src_off, dst_off, len],
-            Instr::Branch { a, b, .. } => vec![a, b],
-            Instr::Jump { .. } | Instr::Call { .. } => vec![],
-            Instr::Ret => vec![RET_REG],
+            } => regs(&[src_off, dst_off, len]),
+            Instr::Branch { a, b, .. } => regs(&[a, b]),
+            Instr::Jump { .. } | Instr::Call { .. } => regs(&[]),
+            Instr::Ret => regs(&[RET_REG]),
             Instr::NetRpc {
                 req_off,
                 req_len,
                 resp_off,
                 resp_cap,
                 ..
-            } => vec![req_off, req_len, resp_off, resp_cap],
+            } => regs(&[req_off, req_len, resp_off, resp_cap]),
         }
     }
 
@@ -417,24 +455,20 @@ impl Instr {
         }
     }
 
-    /// The memory object this instruction touches, with its access kind,
-    /// if any. `NetRpc` touches two objects; this returns the request
-    /// object (callers that need both use [`Instr::objects`]).
-    pub fn object(&self) -> Option<(ObjId, Access)> {
-        self.objects().into_iter().next()
-    }
-
-    /// All memory objects this instruction touches.
-    pub fn objects(&self) -> Vec<(ObjId, Access)> {
+    /// The memory objects this instruction touches, with their access
+    /// kinds: one for scalar and bulk accesses, two for `NetRpc`
+    /// (request read, response written).
+    pub fn objects(&self) -> Operands<(ObjId, Access), 2> {
+        let objs = |src: &[(ObjId, Access)]| Operands::new((ObjId(0), Access::Read), src);
         match *self {
-            Instr::Load { obj, .. } | Instr::EmitObj { obj, .. } => vec![(obj, Access::Read)],
+            Instr::Load { obj, .. } | Instr::EmitObj { obj, .. } => objs(&[(obj, Access::Read)]),
             Instr::Store { obj, .. } | Instr::PayloadToObj { obj, .. } => {
-                vec![(obj, Access::Write)]
+                objs(&[(obj, Access::Write)])
             }
             Instr::NetRpc {
                 req_obj, resp_obj, ..
-            } => vec![(req_obj, Access::Read), (resp_obj, Access::Write)],
-            _ => vec![],
+            } => objs(&[(req_obj, Access::Read), (resp_obj, Access::Write)]),
+            _ => objs(&[]),
         }
     }
 
@@ -536,7 +570,7 @@ mod tests {
             a: 1,
             b: 2,
         };
-        assert_eq!(i.reads(), vec![1, 2]);
+        assert_eq!(*i.reads(), [1, 2]);
         assert_eq!(i.writes(), Some(3));
         assert!(Instr::Ret.reads().contains(&RET_REG));
         assert_eq!(Instr::Ret.writes(), None);
@@ -555,8 +589,8 @@ mod tests {
             resp_len_dst: 5,
         };
         assert_eq!(
-            i.objects(),
-            vec![(ObjId(0), Access::Read), (ObjId(1), Access::Write)]
+            *i.objects(),
+            [(ObjId(0), Access::Read), (ObjId(1), Access::Write)]
         );
         assert_eq!(i.writes(), Some(5));
     }

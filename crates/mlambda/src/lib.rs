@@ -45,11 +45,12 @@
 //! let mut program = Program::new();
 //! let idx = program.add_lambda(lambda, vec![]);
 //!
-//! let firmware = compile(&program, &CompileOptions::optimized())?;
-//! let prog = std::sync::Arc::new(firmware.program.clone());
+//! // Every worker running the image shares its one program.
+//! let image = compile(&program, &CompileOptions::optimized())?.into_image();
+//! let prog = &image.program;
 //! let mut mem = ObjectMemory::for_lambda(&prog.lambdas[idx]);
 //! let done = run_to_completion(
-//!     &prog,
+//!     prog,
 //!     idx,
 //!     RequestCtx::default(),
 //!     &mut mem,
@@ -71,7 +72,7 @@ pub mod ir;
 pub mod memory;
 pub mod program;
 
-pub use compile::{compile, CompileError, CompileOptions, Firmware};
+pub use compile::{compile, CompileError, CompileOptions, Firmware, Image};
 pub use interp::{run_to_completion, Completion, ExecError, Execution, ObjectMemory, RequestCtx};
 pub use memory::{MemLevel, MemorySpec};
 pub use program::{DispatchCtx, DispatchResult, Lambda, MemObject, Program, WorkloadId};

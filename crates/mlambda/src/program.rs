@@ -318,21 +318,11 @@ impl Program {
         }
         for (li, lambda) in self.lambdas.iter().enumerate() {
             for (fi, function) in lambda.functions.iter().enumerate() {
-                self.validate_function(li, fi, function, lambda)?;
+                self.validate_function(Some((li, lambda)), fi, function)?;
             }
         }
         for (si, function) in self.shared.iter().enumerate() {
-            // Shared functions may not call lambda-local functions (their
-            // meaning must be lambda-independent up to object indices).
-            for instr in &function.body {
-                if let Instr::Call {
-                    func: FuncRef::Local(_),
-                } = instr
-                {
-                    return Err(ValidateError::SharedFunctionCallsLocal { shared: si as u16 });
-                }
-            }
-            self.validate_body(&function.body, None, si)?;
+            self.validate_function(None, si, function)?;
         }
         // Shared functions resolve object ids against the *calling*
         // lambda; every caller must declare compatible objects.
@@ -351,8 +341,26 @@ impl Program {
                 }
             }
         }
+        // NPUs have no stack for recursion (§3.1b). Shared functions
+        // cannot call local ones, so every call cycle lies either within
+        // one lambda's local functions or within the shared library.
         for lambda in &self.lambdas {
-            self.check_no_recursion(lambda)?;
+            if on_call_cycle(&lambda.functions, |f| match f {
+                FuncRef::Local(i) => Some(i),
+                FuncRef::Shared(_) => None,
+            })
+            .is_some()
+            {
+                return Err(ValidateError::Recursion {
+                    lambda: lambda.name.clone(),
+                });
+            }
+        }
+        if let Some(shared) = on_call_cycle(&self.shared, |f| match f {
+            FuncRef::Shared(i) => Some(i),
+            FuncRef::Local(_) => None,
+        }) {
+            return Err(ValidateError::SharedRecursion { shared });
         }
         for table in &self.tables {
             for entry in &table.entries {
@@ -374,32 +382,38 @@ impl Program {
         Ok(())
     }
 
+    /// Checks every instruction of one function: register, branch
+    /// target and callee ranges, and the closing terminator. `lambda` is
+    /// `None` for a shared-library function: its object references are
+    /// checked against each caller instead, and it may not call
+    /// lambda-local functions (its meaning must be lambda-independent up
+    /// to object indices).
     fn validate_function(
         &self,
-        li: usize,
+        lambda: Option<(usize, &Lambda)>,
         fi: usize,
         function: &Function,
-        lambda: &Lambda,
     ) -> Result<(), ValidateError> {
+        let li = lambda.map_or(usize::MAX, |(li, _)| li);
         for (pc, instr) in function.body.iter().enumerate() {
             let loc = Loc {
                 lambda: li,
                 function: fi,
                 pc,
             };
-            for r in instr.reads() {
-                if r as usize >= NUM_REGISTERS {
-                    return Err(ValidateError::BadRegister { loc, reg: r });
-                }
+            let bad_reg = instr
+                .reads()
+                .into_iter()
+                .chain(instr.writes())
+                .find(|&r| r as usize >= NUM_REGISTERS);
+            if let Some(reg) = bad_reg {
+                return Err(ValidateError::BadRegister { loc, reg });
             }
-            if let Some(w) = instr.writes() {
-                if w as usize >= NUM_REGISTERS {
-                    return Err(ValidateError::BadRegister { loc, reg: w });
-                }
-            }
-            for (obj, _) in instr.objects() {
-                if obj.0 as usize >= lambda.objects.len() {
-                    return Err(ValidateError::BadObject { loc, obj });
+            if let Some((_, lambda)) = lambda {
+                for (obj, _) in instr.objects() {
+                    if obj.0 as usize >= lambda.objects.len() {
+                        return Err(ValidateError::BadObject { loc, obj });
+                    }
                 }
             }
             match *instr {
@@ -408,18 +422,22 @@ impl Program {
                 {
                     return Err(ValidateError::BadBranchTarget { loc, target });
                 }
-                Instr::Call { func } => match func {
-                    FuncRef::Local(i) => {
-                        if i as usize >= lambda.functions.len() {
-                            return Err(ValidateError::BadFunctionRef { loc });
-                        }
+                Instr::Call {
+                    func: FuncRef::Local(i),
+                } => match lambda {
+                    None => {
+                        return Err(ValidateError::SharedFunctionCallsLocal { shared: fi as u16 })
                     }
-                    FuncRef::Shared(i) => {
-                        if i as usize >= self.shared.len() {
-                            return Err(ValidateError::BadFunctionRef { loc });
-                        }
+                    Some((_, lambda)) if i as usize >= lambda.functions.len() => {
+                        return Err(ValidateError::BadFunctionRef { loc })
                     }
+                    Some(_) => {}
                 },
+                Instr::Call {
+                    func: FuncRef::Shared(i),
+                } if i as usize >= self.shared.len() => {
+                    return Err(ValidateError::BadFunctionRef { loc });
+                }
                 _ => {}
             }
         }
@@ -428,36 +446,6 @@ impl Program {
             _ => Err(ValidateError::MissingTerminator {
                 lambda: li,
                 function: fi,
-            }),
-        }
-    }
-
-    /// Validation used for shared functions (no lambda context).
-    fn validate_body(
-        &self,
-        body: &[Instr],
-        _lambda: Option<&Lambda>,
-        si: usize,
-    ) -> Result<(), ValidateError> {
-        for instr in body {
-            if let Instr::Branch { target, .. } | Instr::Jump { target } = *instr {
-                if target as usize >= body.len() {
-                    return Err(ValidateError::BadBranchTarget {
-                        loc: Loc {
-                            lambda: usize::MAX,
-                            function: si,
-                            pc: 0,
-                        },
-                        target,
-                    });
-                }
-            }
-        }
-        match body.last() {
-            Some(i) if i.is_terminator() => Ok(()),
-            _ => Err(ValidateError::MissingTerminator {
-                lambda: usize::MAX,
-                function: si,
             }),
         }
     }
@@ -492,45 +480,43 @@ impl Program {
         seen.sort_unstable();
         seen
     }
+}
 
-    /// Rejects call cycles: NPUs have no stack for recursion (§3.1b).
-    fn check_no_recursion(&self, lambda: &Lambda) -> Result<(), ValidateError> {
-        // DFS over local call edges (shared functions cannot call local
-        // ones, and shared→shared calls are checked per shared function).
-        fn visit(lambda: &Lambda, f: u16, visiting: &mut Vec<bool>, done: &mut Vec<bool>) -> bool {
-            if done[f as usize] {
-                return true;
-            }
-            if visiting[f as usize] {
-                return false; // cycle
-            }
-            visiting[f as usize] = true;
-            for instr in &lambda.functions[f as usize].body {
-                if let Instr::Call {
-                    func: FuncRef::Local(callee),
-                } = *instr
-                {
-                    if !visit(lambda, callee, visiting, done) {
+/// The first function of `functions` that lies on a call cycle, following
+/// the calls `callee` maps to an index into `functions` (callee indices
+/// are already range-checked).
+fn on_call_cycle(functions: &[Function], callee: fn(FuncRef) -> Option<u16>) -> Option<u16> {
+    fn visit(
+        functions: &[Function],
+        callee: fn(FuncRef) -> Option<u16>,
+        f: u16,
+        visiting: &mut [bool],
+        done: &mut [bool],
+    ) -> bool {
+        if done[f as usize] {
+            return true;
+        }
+        if visiting[f as usize] {
+            return false; // cycle
+        }
+        visiting[f as usize] = true;
+        for instr in &functions[f as usize].body {
+            if let Instr::Call { func } = *instr {
+                if let Some(next) = callee(func) {
+                    if !visit(functions, callee, next, visiting, done) {
                         return false;
                     }
                 }
             }
-            visiting[f as usize] = false;
-            done[f as usize] = true;
-            true
         }
-        let n = lambda.functions.len();
-        let mut visiting = vec![false; n];
-        let mut done = vec![false; n];
-        for f in 0..n as u16 {
-            if !visit(lambda, f, &mut visiting, &mut done) {
-                return Err(ValidateError::Recursion {
-                    lambda: lambda.name.clone(),
-                });
-            }
-        }
-        Ok(())
+        visiting[f as usize] = false;
+        done[f as usize] = true;
+        true
     }
+    let n = functions.len();
+    let mut visiting = vec![false; n];
+    let mut done = vec![false; n];
+    (0..n as u16).find(|&f| !visit(functions, callee, f, &mut visiting, &mut done))
 }
 
 /// Location of a validation failure.
@@ -580,7 +566,7 @@ pub enum ValidateError {
         /// Function index.
         function: usize,
     },
-    /// The local call graph contains a cycle.
+    /// A lambda's local call graph contains a cycle.
     Recursion {
         /// The offending lambda.
         lambda: String,
@@ -612,6 +598,11 @@ pub enum ValidateError {
     /// A shared function calls a lambda-local function.
     SharedFunctionCallsLocal {
         /// Shared function index.
+        shared: u16,
+    },
+    /// The shared library's call graph contains a cycle.
+    SharedRecursion {
+        /// A shared function on the cycle.
         shared: u16,
     },
 }
@@ -661,6 +652,10 @@ impl fmt::Display for ValidateError {
             ValidateError::SharedFunctionCallsLocal { shared } => {
                 write!(f, "shared function {shared} calls a lambda-local function")
             }
+            ValidateError::SharedRecursion { shared } => write!(
+                f,
+                "recursion detected through shared function {shared} (unsupported on NPUs)"
+            ),
         }
     }
 }
@@ -905,6 +900,130 @@ mod tests {
             ],
         ));
         p2.validate().expect("unreachable shared function is fine");
+    }
+
+    /// A lambda whose entry calls shared function 0, with `body` as that
+    /// function.
+    fn calls_shared(body: Vec<Instr>) -> Program {
+        let mut p = Program::new();
+        let mut l = Lambda::new("a", WorkloadId(1), ret_fn());
+        l.functions[0].body.insert(
+            0,
+            Instr::Call {
+                func: FuncRef::Shared(0),
+            },
+        );
+        p.add_lambda(l, vec![]);
+        p.shared.push(Function::new("s", body));
+        p
+    }
+
+    /// [`Loc::lambda`] of a shared-library function.
+    const SHARED: usize = usize::MAX;
+
+    #[test]
+    fn validate_rejects_shared_call_to_missing_shared_function() {
+        let p = calls_shared(vec![
+            Instr::Call {
+                func: FuncRef::Shared(7),
+            },
+            Instr::Ret,
+        ]);
+        assert_eq!(
+            p.validate(),
+            Err(ValidateError::BadFunctionRef {
+                loc: Loc {
+                    lambda: SHARED,
+                    function: 0,
+                    pc: 0
+                }
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_shared_recursion() {
+        let p = calls_shared(vec![
+            Instr::Call {
+                func: FuncRef::Shared(0),
+            },
+            Instr::Ret,
+        ]);
+        assert_eq!(
+            p.validate(),
+            Err(ValidateError::SharedRecursion { shared: 0 })
+        );
+        // A two-function cycle through the shared library.
+        let mut p = calls_shared(vec![
+            Instr::Call {
+                func: FuncRef::Shared(1),
+            },
+            Instr::Ret,
+        ]);
+        p.shared.push(Function::new(
+            "t",
+            vec![
+                Instr::Call {
+                    func: FuncRef::Shared(0),
+                },
+                Instr::Ret,
+            ],
+        ));
+        assert!(matches!(
+            p.validate(),
+            Err(ValidateError::SharedRecursion { .. })
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_bad_register_in_shared_function() {
+        let p = calls_shared(vec![Instr::Mov { dst: 200, src: 1 }, Instr::Ret]);
+        assert_eq!(
+            p.validate(),
+            Err(ValidateError::BadRegister {
+                loc: Loc {
+                    lambda: SHARED,
+                    function: 0,
+                    pc: 0
+                },
+                reg: 200
+            })
+        );
+    }
+
+    #[test]
+    fn validate_reports_shared_branch_target_at_its_pc() {
+        let p = calls_shared(vec![
+            Instr::Const { dst: 1, value: 0 },
+            Instr::Jump { target: 9 },
+            Instr::Ret,
+        ]);
+        assert_eq!(
+            p.validate(),
+            Err(ValidateError::BadBranchTarget {
+                loc: Loc {
+                    lambda: SHARED,
+                    function: 0,
+                    pc: 1
+                },
+                target: 9
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_shared_call_to_local_function() {
+        let p = calls_shared(vec![
+            Instr::Const { dst: 1, value: 0 },
+            Instr::Call {
+                func: FuncRef::Local(0),
+            },
+            Instr::Ret,
+        ]);
+        assert_eq!(
+            p.validate(),
+            Err(ValidateError::SharedFunctionCallsLocal { shared: 0 })
+        );
     }
 
     #[test]

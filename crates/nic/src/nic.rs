@@ -14,7 +14,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rand::Rng;
 
-use lnic_mlambda::compile::Firmware;
+use lnic_mlambda::compile::Image;
 use lnic_mlambda::cost::{exec_cycles, mem_charge_cycles};
 use lnic_mlambda::interp::{Execution, HeaderValues, ObjectMemory, RequestCtx, StepOutcome};
 use lnic_mlambda::ir::retcode;
@@ -57,7 +57,7 @@ pub struct ServiceEndpoint {
 #[derive(Debug)]
 pub struct LoadFirmware {
     /// The compiled image.
-    pub firmware: Arc<Firmware>,
+    pub firmware: Arc<Image>,
     /// Fencing token of the deploy (0 = fencing disabled). A worker
     /// holding a higher epoch refuses the image: it was cut for a
     /// placement decision that has since been superseded.
@@ -66,7 +66,7 @@ pub struct LoadFirmware {
 
 impl LoadFirmware {
     /// A deploy outside any fencing regime (epoch 0).
-    pub fn unfenced(firmware: Arc<Firmware>) -> Self {
+    pub fn unfenced(firmware: Arc<Image>) -> Self {
         LoadFirmware { firmware, epoch: 0 }
     }
 }
@@ -259,7 +259,7 @@ struct RpcTimeout {
 
 #[derive(Debug)]
 struct SwapDone {
-    firmware: Arc<Firmware>,
+    firmware: Arc<Image>,
     /// Guards against swaps started before a crash landing afterwards.
     swap_epoch: u64,
 }
@@ -273,7 +273,7 @@ struct StageDone {
 /// The simulated SmartNIC.
 ///
 /// Wire it to a switch via a simplex uplink [`lnic_net::link::Link`], load
-/// a [`Firmware`], and send it [`Packet`]s.
+/// an [`Image`], and send it [`Packet`]s.
 pub struct Nic {
     params: NicParams,
     mac: MacAddr,
@@ -283,8 +283,7 @@ pub struct Nic {
     services: HashMap<u16, ServiceEndpoint>,
     dispatch_policy: DispatchPolicy,
 
-    firmware: Option<Arc<Firmware>>,
-    program: Option<Arc<Program>>,
+    firmware: Option<Arc<Image>>,
     deployed_mem: Vec<ObjectMemory>,
     swapping: bool,
     /// Power/fault state: a crashed NIC blackholes everything until a
@@ -292,7 +291,7 @@ pub struct Nic {
     crashed: bool,
     /// Last installed image, reloaded on restart (the controller's copy
     /// of record survives the crash; the NIC's running state does not).
-    last_firmware: Option<Arc<Firmware>>,
+    last_firmware: Option<Arc<Image>>,
     /// Bumped on crash so in-flight [`SwapDone`] events become stale.
     swap_epoch: u64,
     /// The control processor defers all work until this instant.
@@ -370,7 +369,6 @@ impl Nic {
             services: HashMap::new(),
             dispatch_policy: DispatchPolicy::default(),
             firmware: None,
-            program: None,
             deployed_mem: Vec::new(),
             swapping: false,
             crashed: false,
@@ -437,7 +435,7 @@ impl Nic {
 
     /// Installs firmware immediately (no swap downtime); for experiment
     /// setup where the image is in place before traffic starts.
-    pub fn preload(mut self, firmware: Arc<Firmware>) -> Self {
+    pub fn preload(mut self, firmware: Arc<Image>) -> Self {
         self.install(firmware);
         self
     }
@@ -449,12 +447,18 @@ impl Nic {
     /// pending swap completion is invalidated and the NIC serves the
     /// new image at once (disaster drills re-image a recovered rack
     /// this way instead of waiting out the self-reload swap).
-    pub fn install_now(&mut self, firmware: Arc<Firmware>) {
+    pub fn install_now(&mut self, firmware: Arc<Image>) {
         if self.swapping {
             self.swapping = false;
             self.swap_epoch += 1;
         }
         self.install(firmware);
+    }
+
+    /// The installed image's program (`None` before an install, while
+    /// crashed and during the restart swap).
+    pub fn program(&self) -> Option<&Arc<Program>> {
+        self.firmware.as_ref().map(|f| &f.program)
     }
 
     /// Sets a lambda's WFQ weight (within its tenant's slice).
@@ -571,14 +575,13 @@ impl Nic {
             .remove(&(pending.lambda_idx, hdr.request_id));
     }
 
-    fn install(&mut self, firmware: Arc<Firmware>) {
-        let program = Arc::new(firmware.program.clone());
-        self.deployed_mem = program
+    fn install(&mut self, firmware: Arc<Image>) {
+        self.deployed_mem = firmware
+            .program
             .lambdas
             .iter()
             .map(ObjectMemory::for_lambda)
             .collect();
-        self.program = Some(program);
         self.last_firmware = Some(Arc::clone(&firmware));
         self.firmware = Some(firmware);
     }
@@ -619,7 +622,6 @@ impl Nic {
         // Volatile deployment state is gone; any in-progress swap dies
         // with the NIC.
         self.firmware = None;
-        self.program = None;
         self.deployed_mem = Vec::new();
         self.swapping = false;
         self.swap_epoch += 1;
@@ -829,7 +831,8 @@ impl Nic {
         assembled_payload: Bytes,
         extra_cycles: u64,
     ) {
-        let program = self.program.as_ref().expect("firmware installed").clone();
+        let firmware = self.firmware.as_ref().expect("firmware installed");
+        let program = Arc::clone(&firmware.program);
         let dctx = DispatchCtx {
             workload_id: hdr.workload_id,
             dst_port: packet.udp.dst_port,
@@ -974,14 +977,14 @@ impl Nic {
             request_id: pending.req_hdr.request_id,
             tenant_id: pending.req_hdr.tenant_id,
         });
-        let program = self.program.as_ref().expect("firmware installed").clone();
-        let firmware = self.firmware.as_ref().expect("firmware installed").clone();
+        let firmware = Arc::clone(self.firmware.as_ref().expect("firmware installed"));
+        let program = &firmware.program;
         // Virtualized instruction store: a non-resident lambda pages its
         // firmware in first, charged as overhead on this request — the
         // per-lambda analogue of the whole-image swap downtime.
         let mut paging_cycles = 0;
         if let Some(rt) = &mut self.tenancy {
-            let words = Self::page_words(&program, pending.lambda_idx);
+            let words = Self::page_words(program, pending.lambda_idx);
             let workload_id = pending.req_hdr.workload_id;
             let tenant_id = pending.tenant_id;
             if let Access::Fault { evicted } = rt.cache.access(workload_id, words) {
@@ -1007,7 +1010,7 @@ impl Nic {
             *rt.busy.entry(tenant_id).or_insert(0) += 1;
         }
         let exec = Execution::start(
-            Arc::clone(&program),
+            Arc::clone(program),
             pending.lambda_idx,
             pending.ctx,
             self.params.lambda_fuel,

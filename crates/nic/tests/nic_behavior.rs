@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use lnic_mlambda::builder::FnBuilder;
-use lnic_mlambda::compile::{compile, CompileOptions, Firmware};
+use lnic_mlambda::compile::{compile, CompileOptions, Image};
 use lnic_mlambda::ir::ObjId;
 use lnic_mlambda::program::{Lambda, MemObject, Program, WorkloadId};
 use lnic_net::frag::fragment;
@@ -92,8 +92,12 @@ fn rpc_program() -> Program {
     p
 }
 
-fn compile_fw(p: &Program) -> Arc<Firmware> {
-    Arc::new(compile(p, &CompileOptions::optimized()).expect("compiles"))
+fn compile_fw(p: &Program) -> Arc<Image> {
+    Arc::new(
+        compile(p, &CompileOptions::optimized())
+            .expect("compiles")
+            .into_image(),
+    )
 }
 
 fn request_packet(workload: u32, request_id: u64, payload: &[u8]) -> Packet {
@@ -106,7 +110,7 @@ fn request_packet(workload: u32, request_id: u64, payload: &[u8]) -> Packet {
 }
 
 /// Wires gateway-sink <- link <- NIC and returns (sim, nic id, sink id).
-fn testbed(params: NicParams, fw: Arc<Firmware>) -> (Simulation, ComponentId, ComponentId) {
+fn testbed(params: NicParams, fw: Arc<Image>) -> (Simulation, ComponentId, ComponentId) {
     let mut sim = Simulation::new(7);
     let sink = sim.add(GwSink { responses: vec![] });
     let to_gw = sim.add(Link::new(sink, LinkParams::ten_gbps()));
@@ -183,7 +187,7 @@ fn run_to_completion_timing_scales_with_content_size() {
     let small_fw = compile_fw(&web_program(&[1u8; 64]));
     let big_fw = compile_fw(&web_program(&vec![1u8; 64 * 1024]));
 
-    let run = |fw: Arc<Firmware>| {
+    let run = |fw: Arc<Image>| {
         let (mut sim, nic, sink) = testbed(NicParams::agilio_cx(), fw);
         sim.post(nic, SimDuration::ZERO, request_packet(1, 1, b""));
         sim.run();
@@ -438,7 +442,11 @@ fn lambda_with_two_sequential_rpcs_suspends_twice() {
     l.add_object(MemObject::with_data("buf", b"abcdefghijklmnop".to_vec()));
     let mut p = Program::new();
     p.add_lambda(l, vec![]);
-    let fw = Arc::new(compile(&p, &CompileOptions::optimized()).unwrap());
+    let fw = Arc::new(
+        compile(&p, &CompileOptions::optimized())
+            .unwrap()
+            .into_image(),
+    );
 
     let mut sim = Simulation::new(4);
     let sink = sim.add(GwSink { responses: vec![] });

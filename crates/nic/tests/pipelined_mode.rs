@@ -8,7 +8,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use lnic_mlambda::builder::FnBuilder;
-use lnic_mlambda::compile::{compile, CompileOptions, Firmware};
+use lnic_mlambda::compile::{compile, CompileOptions, Image};
 use lnic_mlambda::ir::ObjId;
 use lnic_mlambda::program::{Lambda, MemObject, Program, WorkloadId};
 use lnic_net::link::Link;
@@ -35,7 +35,7 @@ impl Component for Sink {
     }
 }
 
-fn web_fw(content: &[u8]) -> Arc<Firmware> {
+fn web_fw(content: &[u8]) -> Arc<Image> {
     let entry = FnBuilder::new("web")
         .constant(1, 0)
         .constant(2, content.len() as u64)
@@ -46,7 +46,11 @@ fn web_fw(content: &[u8]) -> Arc<Firmware> {
     l.add_object(MemObject::with_data("content", content.to_vec()));
     let mut p = Program::new();
     p.add_lambda(l, vec![]);
-    Arc::new(compile(&p, &CompileOptions::optimized()).unwrap())
+    Arc::new(
+        compile(&p, &CompileOptions::optimized())
+            .unwrap()
+            .into_image(),
+    )
 }
 
 fn run(params: NicParams, requests: u64, spacing_ns: u64) -> Vec<(SimTime, Packet)> {

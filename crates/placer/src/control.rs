@@ -421,7 +421,7 @@ impl Placer {
             .collect();
         let subset = subset_program(&self.base, &nic_indices);
         let firmware = match compile(&subset, &self.cfg.compile) {
-            Ok(fw) => Arc::new(fw),
+            Ok(fw) => Arc::new(fw.into_image()),
             Err(_) => {
                 // The packed set no longer compiles (model drift); undo
                 // the announcement and cancel the epoch.
@@ -682,7 +682,11 @@ pub fn install_static_split(
         .map(|(i, _)| i)
         .collect();
     let subset = subset_program(base, &nic_indices);
-    let firmware = Arc::new(compile(&subset, &cfg.compile).expect("initial NIC subset compiles"));
+    let firmware = Arc::new(
+        compile(&subset, &cfg.compile)
+            .expect("initial NIC subset compiles")
+            .into_image(),
+    );
     for (worker, host) in bed.workers.iter().zip(&bed.worker_hosts) {
         bed.sim
             .get_mut::<Nic>(worker.component)

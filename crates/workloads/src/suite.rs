@@ -118,7 +118,10 @@ pub fn three_web_servers() -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lnic_mlambda::compile::{compile, CompileOptions};
+    use lnic_mlambda::compile::lower::lower;
+    use lnic_mlambda::compile::{
+        compile, count_words, naive_placements, CompileOptions, LowerOptions, OptReport,
+    };
 
     #[test]
     fn all_suite_programs_validate() {
@@ -146,6 +149,53 @@ mod tests {
         assert!(r.unoptimized > r.after_coalescing);
         assert!(r.after_coalescing > r.after_match_reduction);
         assert!(r.after_match_reduction > r.after_stratification);
+    }
+
+    #[test]
+    fn benchmark_program_fig9_counts_are_pinned() {
+        let fw = compile(
+            &benchmark_program(&SuiteConfig::default()),
+            &CompileOptions::optimized(),
+        )
+        .unwrap();
+        assert_eq!(
+            fw.report,
+            OptReport {
+                unoptimized: 1145,
+                after_coalescing: 945,
+                after_match_reduction: 841,
+                after_stratification: 811,
+            }
+        );
+    }
+
+    #[test]
+    fn word_count_sink_matches_the_lowered_image() {
+        let unbounded = CompileOptions {
+            instruction_store_words: 1 << 20,
+            ..CompileOptions::optimized()
+        };
+        let spec = &unbounded.memory;
+        for (name, authored) in [
+            ("suite", benchmark_program(&SuiteConfig::default())),
+            ("tenant fleet", crate::tenant_fleet_program(100, 600)),
+        ] {
+            let fw = compile(&authored, &unbounded).unwrap();
+            for (program, placements) in [
+                (&authored, naive_placements(&authored)),
+                (&fw.program, naive_placements(&fw.program)),
+                (&fw.program, fw.placements.clone()),
+            ] {
+                for per_lambda_stages in [true, false] {
+                    let opts = LowerOptions { per_lambda_stages };
+                    assert_eq!(
+                        count_words(program, &placements, spec, opts),
+                        lower(program, &placements, spec, opts).len(),
+                        "{name}, {opts:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! reproducible.
 
 use lnic_mlambda::builder::FnBuilder;
-use lnic_mlambda::ir::{AluOp, Width};
+use lnic_mlambda::ir::{AluOp, Instr, Width};
 use lnic_mlambda::program::{Lambda, MemObject, Program, WorkloadId};
 
 /// Workload ids `TENANT_BASE_ID + i` are reserved for tenant-fleet
@@ -31,11 +31,18 @@ pub fn tenant_workload_id(i: u32) -> WorkloadId {
 /// response — so cross-tenant mixups are observable.
 pub fn tenant_lambda(i: u32, pad_words: usize) -> Lambda {
     let tag = 0x7e00_0000u64 | u64::from(i);
-    let mut b = FnBuilder::new("tenant_entry").constant(1, tag);
-    for _ in 0..pad_words {
-        b = b.alu_imm(AluOp::Add, 1, 1, 0);
-    }
-    let entry = b.emit(1, Width::B8).ret_const(0).build();
+    let pad = Instr::AluImm {
+        op: AluOp::Add,
+        dst: 1,
+        a: 1,
+        imm: 0,
+    };
+    let entry = FnBuilder::new("tenant_entry")
+        .constant(1, tag)
+        .instrs(std::iter::repeat_n(pad, pad_words))
+        .emit(1, Width::B8)
+        .ret_const(0)
+        .build();
     let mut l = Lambda::new(format!("tenant-{i}"), tenant_workload_id(i), entry);
     // A small writable object so the lambda has a non-zero memory
     // footprint for placement quota accounting.

@@ -210,3 +210,64 @@ fn manager_registers_artifacts_in_blob_store() {
     assert!(name.contains("image_transformer"));
     assert!(size > 153 << 20, "container artifact includes the image");
 }
+
+/// The program each worker runs, checked to be one shared allocation:
+/// every worker of an image executes the same `Arc<Program>`.
+fn one_shared_program(bed: &Testbed) -> Arc<lnic_mlambda::program::Program> {
+    let programs: Vec<_> = bed
+        .workers
+        .iter()
+        .map(|w| {
+            let program = match bed.backend {
+                BackendKind::Nic => bed.sim.get::<lnic_nic::Nic>(w.component).unwrap().program(),
+                BackendKind::BareMetal | BackendKind::Container => bed
+                    .sim
+                    .get::<lnic_host::HostBackend>(w.component)
+                    .unwrap()
+                    .program(),
+            };
+            Arc::clone(program.expect("worker has a program installed"))
+        })
+        .collect();
+    assert!(programs.len() > 1, "sharing needs several workers");
+    for (i, p) in programs.iter().enumerate() {
+        assert!(
+            Arc::ptr_eq(p, &programs[0]),
+            "worker {i} holds its own copy"
+        );
+    }
+    Arc::clone(&programs[0])
+}
+
+#[test]
+fn preload_and_restart_keep_one_shared_program() {
+    use lnic_sim::fault::{Crash, Restart};
+
+    for backend in [BackendKind::Nic, BackendKind::BareMetal] {
+        let mut bed = build_testbed(TestbedConfig::new(backend).seed(7).workers(3));
+        bed.preload(&Arc::new(image_program(&SuiteConfig::default())));
+        // Host backends take their program as a DeployProgram message.
+        bed.sim.run_for(SimDuration::from_millis(1));
+        let shared = one_shared_program(&bed);
+
+        // A crash wipes the worker's running image; the restart
+        // re-installs the image of record (through the firmware swap on
+        // a NIC), which must be the same shared program.
+        let worker = bed.workers[1].component;
+        bed.sim.post(worker, SimDuration::ZERO, Crash);
+        bed.sim.post(worker, SimDuration::from_millis(1), Restart);
+        bed.sim.run_for(SimDuration::from_secs(10));
+        assert!(
+            Arc::ptr_eq(&one_shared_program(&bed), &shared),
+            "{backend:?}: restart re-installed a copy"
+        );
+    }
+}
+
+#[test]
+fn manager_deploys_one_shared_program() {
+    for backend in [BackendKind::Nic, BackendKind::BareMetal] {
+        let (_, bed, _) = deploy(backend);
+        one_shared_program(&bed);
+    }
+}
