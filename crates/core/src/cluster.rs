@@ -317,11 +317,7 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
     sim.get_mut::<Switch>(switch)
         .expect("switch exists")
         .connect(kv_mac, kv_port);
-    let kv_endpoint_nic = ServiceEndpoint {
-        mac: kv_mac,
-        addr: kv_addr,
-    };
-    let kv_endpoint_host = lnic_host::ServiceEndpoint {
+    let kv_endpoint = ServiceEndpoint {
         mac: kv_mac,
         addr: kv_addr,
     };
@@ -344,7 +340,7 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
         let component = match config.backend {
             BackendKind::Nic => {
                 let mut nic = Nic::new(config.nic.clone(), mac, addr.ip, uplink)
-                    .with_service(KV_SERVICE, kv_endpoint_nic);
+                    .with_service(KV_SERVICE, kv_endpoint);
                 if config.hybrid {
                     // The host OS behind this NIC, with its own path to
                     // the switch for responses.
@@ -358,7 +354,7 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
                             addr.ip,
                             host_uplink,
                         )
-                        .with_service(KV_SERVICE, kv_endpoint_host),
+                        .with_service(KV_SERVICE, kv_endpoint),
                     );
                     members.push(host);
                     nic = nic.with_host(host);
@@ -377,7 +373,7 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
                         addr.ip,
                         uplink,
                     )
-                    .with_service(KV_SERVICE, kv_endpoint_host),
+                    .with_service(KV_SERVICE, kv_endpoint),
                 )
             }
             BackendKind::Container => {
@@ -389,7 +385,7 @@ pub fn build_testbed(config: TestbedConfig) -> Testbed {
                         addr.ip,
                         uplink,
                     )
-                    .with_service(KV_SERVICE, kv_endpoint_host),
+                    .with_service(KV_SERVICE, kv_endpoint),
                 )
             }
         };

@@ -171,6 +171,46 @@ pub enum StepOutcome {
     },
 }
 
+/// What a worker does next with an execution that stopped.
+#[derive(Debug)]
+pub enum Phase {
+    /// Emit the response and free the execution slot.
+    Finish {
+        /// Response payload.
+        response: Bytes,
+        /// Response return code.
+        code: u16,
+    },
+    /// Send the lambda RPC the execution suspended on.
+    SendRpc {
+        /// Logical service id.
+        service: u16,
+        /// Request payload.
+        payload: Bytes,
+    },
+}
+
+impl Phase {
+    /// The phase after an execution step's `outcome`. A fault finishes
+    /// with `retcode::ERROR` and an empty response, and bumps `faults`.
+    pub fn after(outcome: Result<StepOutcome, ExecError>, faults: &mut u64) -> Phase {
+        match outcome {
+            Ok(StepOutcome::Done(done)) => Phase::Finish {
+                response: done.response,
+                code: done.return_code as u16,
+            },
+            Ok(StepOutcome::NetCall { service, payload }) => Phase::SendRpc { service, payload },
+            Err(_) => {
+                *faults += 1;
+                Phase::Finish {
+                    response: Bytes::new(),
+                    code: crate::ir::retcode::ERROR as u16,
+                }
+            }
+        }
+    }
+}
+
 /// Runtime faults. The compiler's isolation story (§4.2-D2) maps memory
 /// violations to a fault instead of letting a lambda escape its objects.
 #[derive(Clone, Debug, PartialEq, Eq)]

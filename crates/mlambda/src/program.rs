@@ -8,6 +8,10 @@
 use std::collections::HashSet;
 use std::fmt;
 
+use bytes::Bytes;
+use lnic_net::packet::{LambdaHdr, Packet};
+
+use crate::interp::{HeaderValues, RequestCtx};
 use crate::ir::{FuncRef, Function, HeaderField, Instr, ObjId, NUM_REGISTERS};
 
 /// A user hint about an object's access frequency (§4.2-D2 pragmas).
@@ -199,6 +203,18 @@ pub struct DispatchCtx {
     pub has_lambda_hdr: bool,
 }
 
+/// A request the match stage dispatched to a lambda (see
+/// [`Program::dispatch_request`]).
+#[derive(Debug)]
+pub struct Invocation {
+    /// Index of the lambda to run.
+    pub lambda: usize,
+    /// The request as the lambda sees it.
+    pub ctx: RequestCtx,
+    /// The request packet without its payload, to build the reply from.
+    pub reply_template: Packet,
+}
+
 /// The outcome of running the match stage over a packet.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DispatchResult {
@@ -295,6 +311,54 @@ impl Program {
             Some(lambda) => DispatchResult::Invoke { lambda, params },
             None => DispatchResult::ToHost,
         }
+    }
+
+    /// Runs the match stage over the λ-NIC request `packet` carrying
+    /// `hdr`. The request's payload is `assembled` when that is non-empty
+    /// (a reassembled multi-packet message), else the packet's own.
+    /// Returns the packet back when the match stage sends it to the host.
+    pub fn dispatch_request(
+        &self,
+        packet: Packet,
+        hdr: &LambdaHdr,
+        assembled: Bytes,
+    ) -> Result<Invocation, Packet> {
+        let dctx = DispatchCtx {
+            workload_id: hdr.workload_id,
+            dst_port: packet.udp.dst_port,
+            dst_ip: packet.ipv4.dst.to_bits(),
+            has_lambda_hdr: true,
+        };
+        let DispatchResult::Invoke { lambda, params } = self.dispatch(&dctx) else {
+            return Err(packet);
+        };
+        let payload = if assembled.is_empty() {
+            packet.payload.clone()
+        } else {
+            assembled
+        };
+        let ctx = RequestCtx {
+            headers: HeaderValues {
+                workload_id: hdr.workload_id,
+                request_id: hdr.request_id,
+                frag_index: hdr.frag_index,
+                frag_count: hdr.frag_count,
+                return_code: hdr.return_code,
+                src_ip: packet.ipv4.src.to_bits(),
+                dst_ip: packet.ipv4.dst.to_bits(),
+                src_port: packet.udp.src_port,
+                dst_port: packet.udp.dst_port,
+            },
+            payload,
+            match_data: params,
+        };
+        let mut reply_template = packet;
+        reply_template.payload = Bytes::new();
+        Ok(Invocation {
+            lambda,
+            ctx,
+            reply_template,
+        })
     }
 
     /// Finds a lambda index by workload id.

@@ -5,7 +5,8 @@
 //! [`link::Link`]s, a store-and-forward [`switch::Switch`], the
 //! weakly-consistent sender-tracked RPC transport of §4.2-D3
 //! ([`transport::RpcTracker`]), and fragmentation/reassembly with
-//! reorder-cost accounting for multi-packet RDMA messages ([`frag`]).
+//! reorder-cost accounting for multi-packet RDMA messages ([`frag`]), and
+//! the request plane every worker backend shares ([`worker`]).
 //!
 //! ## Example: a frame across a switch
 //!
@@ -56,6 +57,7 @@ pub mod packet;
 pub mod params;
 pub mod switch;
 pub mod transport;
+pub mod worker;
 
 pub use addr::{Ipv4Addr, MacAddr, SocketAddr};
 pub use packet::{LambdaHdr, LambdaKind, Packet};

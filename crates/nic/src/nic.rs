@@ -15,15 +15,14 @@ use bytes::Bytes;
 use rand::Rng;
 
 use lnic_mlambda::compile::Image;
-use lnic_mlambda::cost::{exec_cycles, mem_charge_cycles};
-use lnic_mlambda::interp::{Execution, HeaderValues, ObjectMemory, RequestCtx, StepOutcome};
+use lnic_mlambda::cost::{charges, exec_cycles};
+use lnic_mlambda::interp::{Execution, ObjectMemory, Phase, RequestCtx};
 use lnic_mlambda::ir::retcode;
-use lnic_mlambda::program::{DispatchCtx, DispatchResult, Program};
+use lnic_mlambda::program::{Invocation, Program};
 use lnic_net::frag::Reassembler;
-use lnic_net::packet::{LambdaHdr, LambdaKind, Packet};
+use lnic_net::packet::{LambdaHdr, LambdaKind, Packet, RC_FENCED};
+use lnic_net::worker::{self, Control, Expiry, Rpc, RpcTimeout, WorkerPlane};
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
-use lnic_sim::fault::{EpochQuery, GrantLease, PartitionCut};
-use lnic_sim::lease::{Grant, WorkerView};
 use lnic_sim::prelude::*;
 
 use lnic_tenant::cache::{Access, FirmwareCache};
@@ -41,15 +40,6 @@ pub enum DispatchPolicy {
     UniformRandom,
     /// Deterministic round-robin (ablation).
     RoundRobin,
-}
-
-/// A remote service a lambda can call with [`lnic_mlambda::ir::Instr::NetRpc`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServiceEndpoint {
-    /// L2 address of (the NIC in front of) the service.
-    pub mac: MacAddr,
-    /// UDP endpoint of the service.
-    pub addr: SocketAddr,
 }
 
 /// Control message: load (swap) the NIC firmware. Incurs
@@ -72,6 +62,7 @@ impl LoadFirmware {
 }
 
 pub use lnic_net::transport::UpdateService;
+pub use lnic_net::worker::ServiceEndpoint;
 
 /// NIC → resident service: a single-packet `Request` for a workload
 /// registered with [`Nic::register_resident`], intercepted ahead of the
@@ -190,14 +181,6 @@ struct TenantRuntime {
     busy: HashMap<TenantId, usize>,
 }
 
-#[derive(Debug)]
-enum Phase {
-    /// Emit the response and free the thread.
-    Finish { response: Bytes, code: u16 },
-    /// Send the pending lambda RPC.
-    SendRpc { service: u16, payload: Bytes },
-}
-
 struct Job {
     lambda_idx: usize,
     /// The tenant whose thread-quota slot this job occupies.
@@ -213,10 +196,8 @@ struct Job {
     overhead_cycles: u64,
     /// Next action once the current compute delay elapses.
     phase: Option<Phase>,
-    /// Monotonic sequence for RPC attempts (invalidates stale timeouts).
-    rpc_seq: u64,
-    /// Attempts used for the current RPC.
-    rpc_attempt: u32,
+    /// The lambda RPC the job is (or was last) suspended on.
+    rpc: Rpc,
 }
 
 enum ThreadState {
@@ -251,13 +232,6 @@ struct ThreadPhase {
 }
 
 #[derive(Debug)]
-struct RpcTimeout {
-    thread: usize,
-    epoch: u64,
-    rpc_seq: u64,
-}
-
-#[derive(Debug)]
 struct SwapDone {
     firmware: Arc<Image>,
     /// Guards against swaps started before a crash landing afterwards.
@@ -280,33 +254,18 @@ pub struct Nic {
     ip: Ipv4Addr,
     uplink: ComponentId,
     host: Option<ComponentId>,
-    services: HashMap<u16, ServiceEndpoint>,
+    /// Services, lease, partition cuts, and crash, stall and slowdown.
+    plane: WorkerPlane,
     dispatch_policy: DispatchPolicy,
 
     firmware: Option<Arc<Image>>,
     deployed_mem: Vec<ObjectMemory>,
     swapping: bool,
-    /// Power/fault state: a crashed NIC blackholes everything until a
-    /// [`lnic_sim::fault::Restart`] re-enters through the swap path.
-    crashed: bool,
     /// Last installed image, reloaded on restart (the controller's copy
     /// of record survives the crash; the NIC's running state does not).
     last_firmware: Option<Arc<Image>>,
     /// Bumped on crash so in-flight [`SwapDone`] events become stale.
     swap_epoch: u64,
-    /// The control processor defers all work until this instant.
-    stalled_until: SimTime,
-    /// Gray failure: compute runs `slow_factor`× slower until
-    /// `slow_until` (the NIC still answers health pings — only
-    /// latency-based fail-slow detection can see this).
-    slow_until: SimTime,
-    slow_factor: f64,
-    /// Membership: the lease this worker serves under. Unleased until
-    /// the first grant (legacy heartbeat-free testbeds keep working);
-    /// once leased, the worker self-fences when it lapses.
-    lease: WorkerView,
-    /// Partition windows on direct control messages.
-    cut: PartitionCut,
     /// NIC-resident services by workload id: intercepted ahead of the
     /// firmware dispatch path and delegated to a co-located component
     /// (the replicated KV replica).
@@ -366,19 +325,13 @@ impl Nic {
             ip,
             uplink,
             host: None,
-            services: HashMap::new(),
+            plane: WorkerPlane::default(),
             dispatch_policy: DispatchPolicy::default(),
             firmware: None,
             deployed_mem: Vec::new(),
             swapping: false,
-            crashed: false,
             last_firmware: None,
             swap_epoch: 0,
-            stalled_until: SimTime::ZERO,
-            slow_until: SimTime::ZERO,
-            slow_factor: 1.0,
-            lease: WorkerView::new(),
-            cut: PartitionCut::default(),
             resident: HashMap::new(),
             resident_pending: HashMap::new(),
             resident_next_token: 0,
@@ -404,13 +357,13 @@ impl Nic {
 
     /// Registers a callable service endpoint.
     pub fn with_service(mut self, id: u16, endpoint: ServiceEndpoint) -> Self {
-        self.services.insert(id, endpoint);
+        self.plane.add_service(id, endpoint);
         self
     }
 
     /// The endpoint this worker currently resolves `service` to.
     pub fn service(&self, id: u16) -> Option<ServiceEndpoint> {
-        self.services.get(&id).copied()
+        self.plane.service(id)
     }
 
     /// Registers a NIC-resident service: packets for `workload_id` are
@@ -516,9 +469,13 @@ impl Nic {
         self.ip
     }
 
-    /// Experiment counters.
+    /// Experiment counters (the request gate counts the refusals).
     pub fn counters(&self) -> NicCounters {
-        self.counters
+        NicCounters {
+            deadline_drops: self.plane.deadline_drops(),
+            fenced_rejects: self.plane.fenced_rejects(),
+            ..self.counters
+        }
     }
 
     /// NIC-side service-time samples (arrival to response emission).
@@ -547,29 +504,22 @@ impl Nic {
 
     /// Whether the NIC is currently crashed.
     pub fn is_crashed(&self) -> bool {
-        self.crashed
+        self.plane.is_crashed()
     }
 
-    /// Refuses fenced work with a typed `RC_FENCED` reply so the sender
-    /// re-resolves the placement instead of waiting out its timer.
-    fn reject_fenced(&mut self, ctx: &mut Ctx<'_>, pending: &PendingRequest, worker_epoch: u64) {
-        self.counters.fenced_rejects += 1;
+    /// Answers work the request gate refused with the typed `code`
+    /// (`RC_FENCED` or `RC_EXPIRED`), so the sender resolves it promptly
+    /// instead of waiting out its timer.
+    fn refuse(&mut self, ctx: &mut Ctx<'_>, pending: &PendingRequest, code: u16) {
         let hdr = pending.req_hdr;
-        ctx.emit(|| TraceEvent::FencedReject {
-            request_id: hdr.request_id,
-            workload_id: hdr.workload_id,
-            hdr_epoch: hdr.epoch,
-            worker_epoch,
-        });
-        let mut resp_hdr = hdr.response_to(lnic_net::packet::RC_FENCED);
-        resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease.epoch();
-        let packet = pending
-            .reply_template
-            .reply_to()
-            .lambda(resp_hdr)
-            .payload(Bytes::new())
-            .build();
+        let packet = worker::reply(
+            &pending.reply_template,
+            &hdr,
+            code,
+            self.queue.len(),
+            self.plane.epoch(),
+            Bytes::new(),
+        );
         ctx.send(self.uplink, SimDuration::ZERO, packet);
         self.arrival_times
             .remove(&(pending.lambda_idx, hdr.request_id));
@@ -589,14 +539,9 @@ impl Nic {
     /// Fails the NIC: every in-flight job (running or queued) is lost,
     /// per-lambda state is wiped, and arrivals blackhole until restart.
     fn crash(&mut self, ctx: &mut Ctx<'_>) {
-        if self.crashed {
-            return;
-        }
-        self.crashed = true;
         self.counters.crashes += 1;
         let in_flight = self.busy_threads() + self.queue.len();
         self.counters.jobs_lost += in_flight as u64;
-        ctx.trace(|| format!("nic crash, {in_flight} jobs lost"));
         ctx.emit(|| TraceEvent::Fault {
             kind: "crash",
             detail: in_flight as u64,
@@ -625,23 +570,12 @@ impl Nic {
         self.deployed_mem = Vec::new();
         self.swapping = false;
         self.swap_epoch += 1;
-        // A lease does not survive a crash: the restarted worker must
-        // not serve until the controller renews it.
-        self.lease.lapse();
     }
 
-    /// Recovers a crashed NIC: power back on and re-enter service by
-    /// reloading the last installed image through the firmware-swap
-    /// path, paying [`NicParams::firmware_swap_time`] of downtime.
+    /// Recovers a crashed NIC: re-enter service by reloading the last
+    /// installed image through the firmware-swap path, paying
+    /// [`NicParams::firmware_swap_time`] of downtime.
     fn restart(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
-        ctx.emit(|| TraceEvent::Fault {
-            kind: "restart",
-            detail: 0,
-        });
         if let Some(firmware) = self.last_firmware.clone() {
             self.swapping = true;
             ctx.send_self(
@@ -669,20 +603,17 @@ impl Nic {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, packet: Packet) {
-        if self.crashed {
+        if self.plane.is_crashed() {
             self.counters.dropped_crashed += 1;
             return;
         }
         // Lambda RPC responses come back on the per-thread port range.
         if packet.lambda.is_none() {
             let port = packet.udp.dst_port;
-            let base = self.params.rpc_port_base;
-            let nthreads = self.threads.len() as u16;
-            if port >= base && port < base + nthreads {
-                self.on_rpc_response(ctx, (port - base) as usize, packet.payload);
-                return;
+            match worker::rpc_slot(port, self.params.rpc_port_base, self.threads.len()) {
+                Some(thread) => self.on_rpc_response(ctx, thread, packet.payload),
+                None => self.punt_to_host(ctx, packet),
             }
-            self.punt_to_host(ctx, packet);
             return;
         }
 
@@ -760,37 +691,11 @@ impl Nic {
         match hdr.kind {
             LambdaKind::Request => {
                 self.counters.requests += 1;
-                let refuse = |nic: &mut Nic, ctx: &mut Ctx<'_>, code: u16| {
-                    let mut resp_hdr = hdr.response_to(code);
-                    resp_hdr.queue_depth = nic.queue.len().min(u16::MAX as usize) as u16;
-                    resp_hdr.epoch = nic.lease.epoch();
-                    let reply = packet
-                        .reply_to()
-                        .lambda(resp_hdr)
-                        .payload(Bytes::new())
-                        .build();
-                    ctx.send(nic.uplink, SimDuration::ZERO, reply);
-                };
-                if let Some(worker_epoch) = self.lease.fence_check(hdr.epoch, ctx.now()) {
-                    self.counters.fenced_rejects += 1;
-                    ctx.emit(|| TraceEvent::FencedReject {
-                        request_id: hdr.request_id,
-                        workload_id: hdr.workload_id,
-                        hdr_epoch: hdr.epoch,
-                        worker_epoch,
-                    });
-                    refuse(self, ctx, lnic_net::packet::RC_FENCED);
-                    return;
-                }
-                if hdr.expired_at(ctx.now().as_nanos()) {
-                    self.counters.deadline_drops += 1;
-                    let overdue_ns = ctx.now().as_nanos().saturating_sub(hdr.deadline_ns);
-                    ctx.emit(|| TraceEvent::DeadlineDrop {
-                        request_id: hdr.request_id,
-                        workload_id: hdr.workload_id,
-                        overdue_ns,
-                    });
-                    refuse(self, ctx, lnic_net::packet::RC_EXPIRED);
+                if let Some(code) = self.plane.gate(ctx, &hdr) {
+                    let epoch = self.plane.epoch();
+                    let reply =
+                        worker::reply(&packet, &hdr, code, self.queue.len(), epoch, Bytes::new());
+                    ctx.send(self.uplink, SimDuration::ZERO, reply);
                     return;
                 }
                 let token = self.resident_next_token;
@@ -832,39 +737,17 @@ impl Nic {
         extra_cycles: u64,
     ) {
         let firmware = self.firmware.as_ref().expect("firmware installed");
-        let program = Arc::clone(&firmware.program);
-        let dctx = DispatchCtx {
-            workload_id: hdr.workload_id,
-            dst_port: packet.udp.dst_port,
-            dst_ip: packet.ipv4.dst.to_bits(),
-            has_lambda_hdr: true,
-        };
-        match program.dispatch(&dctx) {
-            DispatchResult::ToHost => self.punt_to_host(ctx, packet),
-            DispatchResult::Invoke { lambda, params } => {
+        match firmware
+            .program
+            .dispatch_request(packet, &hdr, assembled_payload)
+        {
+            Err(packet) => self.punt_to_host(ctx, packet),
+            Ok(Invocation {
+                lambda,
+                ctx: req,
+                reply_template,
+            }) => {
                 self.counters.requests += 1;
-                let payload = if assembled_payload.is_empty() {
-                    packet.payload.clone()
-                } else {
-                    assembled_payload
-                };
-                let req = RequestCtx {
-                    headers: HeaderValues {
-                        workload_id: hdr.workload_id,
-                        request_id: hdr.request_id,
-                        frag_index: hdr.frag_index,
-                        frag_count: hdr.frag_count,
-                        return_code: hdr.return_code,
-                        src_ip: packet.ipv4.src.to_bits(),
-                        dst_ip: packet.ipv4.dst.to_bits(),
-                        src_port: packet.udp.src_port,
-                        dst_port: packet.udp.dst_port,
-                    },
-                    payload,
-                    match_data: params,
-                };
-                let mut reply_template = packet;
-                reply_template.payload = Bytes::new();
                 let pending = PendingRequest {
                     lambda_idx: lambda,
                     tenant_id: self.sched_tenant(hdr.workload_id),
@@ -899,40 +782,19 @@ impl Nic {
         }
     }
 
-    /// Refuses an expired request at dequeue: answer `RC_EXPIRED` so the
-    /// sender resolves the request promptly instead of waiting out its
-    /// retransmission timer, and spend no NPU cycles on it.
-    fn reject_expired(&mut self, ctx: &mut Ctx<'_>, pending: &PendingRequest) {
-        self.counters.deadline_drops += 1;
-        let hdr = pending.req_hdr;
-        let overdue_ns = ctx.now().as_nanos().saturating_sub(hdr.deadline_ns);
-        ctx.emit(|| TraceEvent::DeadlineDrop {
-            request_id: hdr.request_id,
-            workload_id: hdr.workload_id,
-            overdue_ns,
-        });
-        let mut resp_hdr = hdr.response_to(lnic_net::packet::RC_EXPIRED);
-        resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-        resp_hdr.epoch = self.lease.epoch();
-        let packet = pending
-            .reply_template
-            .reply_to()
-            .lambda(resp_hdr)
-            .payload(Bytes::new())
-            .build();
-        ctx.send(self.uplink, SimDuration::ZERO, packet);
-        self.arrival_times
-            .remove(&(pending.lambda_idx, hdr.request_id));
+    /// The request gate (see [`WorkerPlane::gate`]); a refused request
+    /// is answered at once. Returns whether the request may run.
+    fn pass_gate(&mut self, ctx: &mut Ctx<'_>, pending: &PendingRequest) -> bool {
+        let refused = self.plane.gate(ctx, &pending.req_hdr);
+        if let Some(code) = refused {
+            self.refuse(ctx, pending, code);
+        }
+        refused.is_none()
     }
 
     /// Assigns the request to an idle lambda thread or queues it.
     fn admit_to_thread(&mut self, ctx: &mut Ctx<'_>, pending: PendingRequest) {
-        if let Some(epoch) = self.lease.fence_check(pending.req_hdr.epoch, ctx.now()) {
-            self.reject_fenced(ctx, &pending, epoch);
-            return;
-        }
-        if pending.req_hdr.expired_at(ctx.now().as_nanos()) {
-            self.reject_expired(ctx, &pending);
+        if !self.pass_gate(ctx, &pending) {
             return;
         }
         let lambda = pending.lambda_idx;
@@ -1030,8 +892,7 @@ impl Nic {
             charged_cycles: 0,
             overhead_cycles: overhead,
             phase: None,
-            rpc_seq: 0,
-            rpc_attempt: 0,
+            rpc: Rpc::default(),
         };
         self.advance_job(&mut job);
         self.schedule_phase(ctx, thread, job);
@@ -1043,27 +904,7 @@ impl Nic {
         debug_assert!(!job.exec.is_awaiting(), "advance_job while awaiting rpc");
         let mem = &mut self.deployed_mem[job.lambda_idx];
         let outcome = job.exec.run(mem);
-        job.phase = Some(Self::phase_of(&mut self.counters, outcome));
-    }
-
-    fn phase_of(
-        counters: &mut NicCounters,
-        outcome: Result<StepOutcome, lnic_mlambda::interp::ExecError>,
-    ) -> Phase {
-        match outcome {
-            Ok(StepOutcome::Done(done)) => Phase::Finish {
-                response: done.response,
-                code: done.return_code as u16,
-            },
-            Ok(StepOutcome::NetCall { service, payload }) => Phase::SendRpc { service, payload },
-            Err(_) => {
-                counters.faults += 1;
-                Phase::Finish {
-                    response: Bytes::new(),
-                    code: retcode::ERROR as u16,
-                }
-            }
-        }
+        job.phase = Some(Phase::after(outcome, &mut self.counters.faults));
     }
 
     /// Charges the cycles accumulated since the last charge and schedules
@@ -1078,10 +919,10 @@ impl Nic {
             );
         let delta = total.saturating_sub(job.charged_cycles);
         job.charged_cycles = total;
-        let mut delay = self.params.cycles_to_time(delta);
-        if ctx.now() < self.slow_until {
-            delay = delay.mul_f64(self.slow_factor);
-        }
+        let delay = self
+            .params
+            .cycles_to_time(delta)
+            .mul_f64(self.plane.slow_scale(ctx.now()));
         let epoch = self.threads[thread].epoch;
         self.threads[thread].state = ThreadState::Computing(job);
         ctx.send_self(delay, ThreadPhase { thread, epoch });
@@ -1104,63 +945,36 @@ impl Nic {
                 self.free_thread(ctx, thread, job.tenant_id);
             }
             Phase::SendRpc { service, payload } => {
-                job.rpc_seq += 1;
-                job.rpc_attempt = 1;
+                job.rpc.begin(service, payload);
                 ctx.emit(|| TraceEvent::ExecSuspend {
                     core: thread as u32,
                     lambda_id: job.lambda_idx as u32,
                     request_id: job.req_hdr.request_id,
                 });
-                self.send_rpc(ctx, thread, &job, service, &payload);
-                let seq = job.rpc_seq;
-                job.phase = Some(Phase::SendRpc { service, payload });
+                self.send_rpc(ctx, thread, &job.rpc);
+                job.rpc.arm(ctx, thread, epoch, self.params.rpc_timeout);
                 self.threads[thread].state = ThreadState::AwaitingRpc(job);
-                let epoch = self.threads[thread].epoch;
-                ctx.send_self(
-                    self.params.rpc_timeout,
-                    RpcTimeout {
-                        thread,
-                        epoch,
-                        rpc_seq: seq,
-                    },
-                );
             }
         }
     }
 
-    fn send_rpc(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        thread: usize,
-        _job: &Job,
-        service: u16,
-        payload: &Bytes,
-    ) {
-        let Some(endpoint) = self.services.get(&service).copied() else {
-            // Unknown service: the RPC can never complete; it will time
-            // out and the job will fail.
-            return;
-        };
+    /// Sends the current attempt of the thread's lambda RPC.
+    fn send_rpc(&self, ctx: &mut Ctx<'_>, thread: usize, rpc: &Rpc) {
+        let (service, payload) = rpc.call();
         let src = SocketAddr::new(self.ip, self.params.rpc_port_base + thread as u16);
-        let packet = Packet::builder()
-            .eth(self.mac, endpoint.mac)
-            .udp(src, endpoint.addr)
-            .payload(payload.clone())
-            .build();
-        ctx.send(self.uplink, SimDuration::ZERO, packet);
+        if let Some(packet) = self.plane.rpc_packet(service, self.mac, src, payload) {
+            ctx.send(self.uplink, SimDuration::ZERO, packet);
+        }
     }
 
     fn on_rpc_response(&mut self, ctx: &mut Ctx<'_>, thread: usize, payload: Bytes) {
-        if thread >= self.threads.len() {
-            return;
-        }
         let state = std::mem::replace(&mut self.threads[thread].state, ThreadState::Idle);
         let ThreadState::AwaitingRpc(mut job) = state else {
             // Duplicate or stale response: ignore.
             self.threads[thread].state = state;
             return;
         };
-        job.rpc_seq += 1; // invalidate the pending timeout
+        job.rpc.answered();
         ctx.emit(|| TraceEvent::ExecResume {
             core: thread as u32,
             lambda_id: job.lambda_idx as u32,
@@ -1168,12 +982,13 @@ impl Nic {
         });
         let mem = &mut self.deployed_mem[job.lambda_idx];
         let outcome = job.exec.resume(mem, &payload);
-        job.phase = Some(Self::phase_of(&mut self.counters, outcome));
+        job.phase = Some(Phase::after(outcome, &mut self.counters.faults));
         self.schedule_phase(ctx, thread, job);
     }
 
-    fn on_rpc_timeout(&mut self, ctx: &mut Ctx<'_>, thread: usize, epoch: u64, rpc_seq: u64) {
-        if self.threads[thread].epoch != epoch {
+    fn on_rpc_timeout(&mut self, ctx: &mut Ctx<'_>, t: RpcTimeout) {
+        let thread = t.slot;
+        if self.threads[thread].epoch != t.epoch {
             return;
         }
         let state = std::mem::replace(&mut self.threads[thread].state, ThreadState::Idle);
@@ -1181,58 +996,37 @@ impl Nic {
             self.threads[thread].state = state;
             return;
         };
-        if job.rpc_seq != rpc_seq {
-            // The RPC already completed; put the job back untouched.
-            self.threads[thread].state = ThreadState::AwaitingRpc(job);
-            return;
+        match job.rpc.expire(t.seq, self.params.rpc_attempts) {
+            Expiry::Stale => {}
+            Expiry::GiveUp => {
+                self.counters.faults += 1;
+                ctx.emit(|| TraceEvent::ExecResume {
+                    core: thread as u32,
+                    lambda_id: job.lambda_idx as u32,
+                    request_id: job.req_hdr.request_id,
+                });
+                self.emit_exec_finish(ctx, thread, &job);
+                self.emit_response(ctx, &job, Bytes::new(), retcode::ERROR as u16);
+                self.free_thread(ctx, thread, job.tenant_id);
+                return;
+            }
+            Expiry::Resend => {
+                self.send_rpc(ctx, thread, &job.rpc);
+                job.rpc.arm(ctx, thread, t.epoch, self.params.rpc_timeout);
+            }
         }
-        let Some(Phase::SendRpc { service, payload }) = job.phase.take() else {
-            unreachable!("awaiting thread always holds a SendRpc phase");
-        };
-        if lnic_net::transport::retries_exhausted(job.rpc_attempt, self.params.rpc_attempts) {
-            // Give up: fail the lambda (weakly-consistent transport
-            // reports the failure to the sender, §4.2-D3).
-            self.counters.faults += 1;
-            ctx.emit(|| TraceEvent::ExecResume {
-                core: thread as u32,
-                lambda_id: job.lambda_idx as u32,
-                request_id: job.req_hdr.request_id,
-            });
-            self.emit_exec_finish(ctx, thread, &job);
-            self.emit_response(ctx, &job, Bytes::new(), retcode::ERROR as u16);
-            self.free_thread(ctx, thread, job.tenant_id);
-            return;
-        }
-        job.rpc_attempt += 1;
-        job.rpc_seq += 1;
-        self.send_rpc(ctx, thread, &job, service, &payload);
-        let seq = job.rpc_seq;
-        job.phase = Some(Phase::SendRpc { service, payload });
         self.threads[thread].state = ThreadState::AwaitingRpc(job);
-        ctx.send_self(
-            self.params.rpc_timeout,
-            RpcTimeout {
-                thread,
-                epoch,
-                rpc_seq: seq,
-            },
-        );
     }
 
     fn emit_response(&mut self, ctx: &mut Ctx<'_>, job: &Job, response: Bytes, code: u16) {
-        let mut resp_hdr = job.req_hdr.response_to(code);
-        // Advertise the wait-queue depth so the gateway can route and
-        // shed against backpressure.
-        resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-        // Stamp the epoch the work was served under, so the gateway can
-        // discard late replies from fenced epochs.
-        resp_hdr.epoch = self.lease.epoch();
-        let packet = job
-            .reply_template
-            .reply_to()
-            .lambda(resp_hdr)
-            .payload(response)
-            .build();
+        let packet = worker::reply(
+            &job.reply_template,
+            &job.req_hdr,
+            code,
+            self.queue.len(),
+            self.plane.epoch(),
+            response,
+        );
         ctx.send(self.uplink, SimDuration::ZERO, packet);
         self.counters.responses += 1;
         if let Some(arrived) = self
@@ -1277,23 +1071,17 @@ impl Nic {
                 tenant_id: tenant,
                 tenant_weight_milli,
             });
-            if let Some(epoch) = self.lease.fence_check(pending.req_hdr.epoch, ctx.now()) {
-                self.reject_fenced(ctx, &pending, epoch);
-                continue;
+            if self.pass_gate(ctx, &pending) {
+                self.start_job(ctx, thread, pending);
+                return;
             }
-            if pending.req_hdr.expired_at(ctx.now().as_nanos()) {
-                self.reject_expired(ctx, &pending);
-                continue;
-            }
-            self.start_job(ctx, thread, pending);
-            return;
         }
         self.idle.push(thread);
     }
 
-    /// Emits the per-object memory charges and the finish record for a
-    /// completing job; the decomposition mirrors [`exec_cycles`] exactly so
-    /// the online checker can recompute it.
+    /// Emits the per-object memory [`charges`] at the image's placements
+    /// and the finish record for a completing job, so the online checker
+    /// can recompute the charged total.
     fn emit_exec_finish(&self, ctx: &mut Ctx<'_>, thread: usize, job: &Job) {
         let Some(firmware) = self.firmware.as_ref() else {
             return;
@@ -1307,45 +1095,20 @@ impl Nic {
         // the owner is that workload's tenant per the directory — not
         // whatever tenant the request claimed to be.
         let owner_tenant = self.sched_tenant(job.req_hdr.workload_id);
-        let charge = |level: &'static str,
-                      latency_cycles: u64,
-                      scalar: u64,
-                      bulk_ops: u64,
-                      bulk_bytes: u64,
-                      ctx: &mut Ctx<'_>| {
-            if scalar == 0 && bulk_ops == 0 && bulk_bytes == 0 {
-                return;
-            }
-            let cycles = mem_charge_cycles(scalar, bulk_ops, bulk_bytes, latency_cycles);
+        for c in charges(stats, placements, &self.params.memory) {
             ctx.emit(|| TraceEvent::MemCharge {
                 core,
                 lambda_id,
                 request_id,
-                level,
-                latency_cycles,
-                scalar,
-                bulk_ops,
-                bulk_bytes,
-                cycles,
+                level: c.level,
+                latency_cycles: c.latency_cycles,
+                scalar: c.scalar,
+                bulk_ops: c.bulk_ops,
+                bulk_bytes: c.bulk_bytes,
+                cycles: c.cycles,
                 owner_tenant,
             });
-        };
-        for (i, &scalar) in stats.obj_scalar.iter().enumerate() {
-            let level = placements[i];
-            let lat = self.params.memory.level(level).latency_cycles;
-            charge(
-                level.name(),
-                lat,
-                scalar,
-                stats.obj_bulk_ops[i],
-                stats.obj_bulk_bytes[i],
-                ctx,
-            );
         }
-        let ctm_lat = self.params.memory.ctm.latency_cycles;
-        charge("CTM", ctm_lat, stats.payload_scalar, 0, 0, ctx);
-        charge("CTM", ctm_lat, 0, 0, stats.payload_bulk_bytes, ctx);
-        charge("CTM", ctm_lat, 0, 0, stats.emitted_bytes, ctx);
         ctx.emit(|| TraceEvent::ExecFinish {
             core,
             lambda_id,
@@ -1379,143 +1142,56 @@ impl Component for Nic {
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: AnyMessage) {
-        // Hardware fault controls act immediately, even mid-stall.
-        let msg = match msg.downcast::<lnic_sim::fault::Crash>() {
-            Ok(_) => {
-                self.crash(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::Restart>() {
-            Ok(_) => {
-                self.restart(ctx);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::StallFor>() {
-            Ok(stall) => {
-                self.stalled_until = self.stalled_until.max(ctx.now() + stall.0);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::NetCutFrom>() {
-            Ok(cut) => {
-                self.cut.apply(ctx.now(), &cut);
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<lnic_sim::fault::Slowdown>() {
-            Ok(slow) => {
-                self.slow_until = self.slow_until.max(ctx.now() + slow.duration);
-                self.slow_factor = slow.factor.max(1.0);
-                ctx.trace(|| format!("nic slowdown x{} for {:?}", slow.factor, slow.duration));
-                ctx.emit(|| TraceEvent::Fault {
-                    kind: "slowdown",
-                    detail: (slow.factor * 1000.0) as u64,
-                });
-                return;
-            }
-            Err(other) => other,
-        };
-        // A stalled control processor defers everything else; replaying
-        // at the stall's end preserves arrival order (engine FIFO ties).
-        if ctx.now() < self.stalled_until {
-            let delay = self.stalled_until - ctx.now();
-            ctx.send_boxed(ctx.self_id(), delay, msg);
-            return;
-        }
-        let msg = match msg.downcast::<lnic_sim::fault::HealthPing>() {
-            Ok(ping) => {
-                // The management endpoint answers as long as the NIC has
-                // power — including during firmware swaps — but a
-                // crashed NIC is silent, which is the failure signal.
-                if !self.crashed && !self.cut.blocks(ping.reply_to, ctx.now()) {
-                    let from = ctx.self_id();
-                    ctx.send(
-                        ping.reply_to,
-                        SimDuration::ZERO,
-                        lnic_sim::fault::HealthPong { from },
-                    );
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<GrantLease>() {
-            Ok(grant) => {
-                // A crashed worker is silent; a partitioned one never
-                // saw the grant.
-                if self.crashed || self.cut.blocks(grant.reply_to, ctx.now()) {
-                    return;
-                }
-                let Some(adopted) = self.lease.deliver(Grant::from(*grant)) else {
-                    return;
-                };
-                if adopted.epoch_rose {
+        let msg = match self.plane.filter(ctx, msg) {
+            None => return,
+            Some(Control::Crashed) => return self.crash(ctx),
+            Some(Control::Restarted) => return self.restart(ctx),
+            Some(Control::Adopted {
+                adoption,
+                controller,
+            }) => {
+                if adoption.epoch_rose {
                     // The fencing token doubles as a leadership fence:
                     // residents must re-derive any authority they held
                     // under the previous epoch.
                     for &svc in self.resident.values() {
-                        let epoch = adopted.epoch;
+                        let epoch = adoption.epoch;
                         ctx.send(svc, SimDuration::ZERO, ResidentEpoch { epoch });
                     }
                 }
-                if adopted.rejoined {
+                if adoption.rejoined {
                     // Drop pre-partition placements: everything still
                     // queued was stamped with an older epoch. Refuse it
                     // now so senders re-resolve immediately.
                     while let Some((_, _, pending)) = self.queue.pop() {
-                        self.reject_fenced(ctx, &pending, adopted.epoch);
+                        self.plane
+                            .refuse_fenced(ctx, &pending.req_hdr, adoption.epoch);
+                        self.refuse(ctx, &pending, RC_FENCED);
                     }
                     self.reassembler = Reassembler::new();
                 }
                 // The swap epoch bumps exactly once per crash.
-                adopted.ack(ctx, grant.reply_to, self.swap_epoch);
+                adoption.ack(ctx, controller, self.swap_epoch);
                 return;
             }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<EpochQuery>() {
-            Ok(q) => {
-                if !self.crashed && !self.cut.blocks(q.reply_to, ctx.now()) {
-                    let report = self.lease.report(ctx.self_id());
-                    ctx.send(q.reply_to, SimDuration::ZERO, report);
-                }
-                return;
-            }
-            Err(other) => other,
-        };
-        let msg = match msg.downcast::<UpdateService>() {
-            Ok(up) => {
-                if self.crashed {
-                    // Missed updates are re-broadcast when the worker's
-                    // workloads are handed back after recovery.
-                    self.counters.dropped_crashed += 1;
-                    return;
-                }
-                self.services.insert(
-                    up.service,
-                    ServiceEndpoint {
-                        mac: up.mac,
-                        addr: up.addr,
-                    },
-                );
+            Some(Control::ServiceMoved(up)) => {
                 // Hybrid deployments punt some lambdas to the host OS;
                 // its RPC table must chase the same re-placement.
                 if let Some(host) = self.host {
-                    ctx.send(host, self.params.pcie_latency, *up);
+                    ctx.send(host, self.params.pcie_latency, up);
                 }
                 return;
             }
-            Err(other) => other,
+            Some(Control::MissedUpdate) => {
+                self.counters.dropped_crashed += 1;
+                return;
+            }
+            Some(Control::Message(msg)) => msg,
         };
+        let crashed = self.plane.is_crashed();
         let msg = match msg.downcast::<ResidentDone>() {
             Ok(done) => {
-                if self.crashed {
+                if crashed {
                     self.counters.dropped_crashed += 1;
                     return;
                 }
@@ -1524,15 +1200,14 @@ impl Component for Nic {
                 let Some(reply) = self.resident_pending.remove(&done.token) else {
                     return;
                 };
-                let mut resp_hdr = reply.req_hdr.response_to(done.return_code);
-                resp_hdr.queue_depth = self.queue.len().min(u16::MAX as usize) as u16;
-                resp_hdr.epoch = self.lease.epoch();
-                let packet = reply
-                    .reply_template
-                    .reply_to()
-                    .lambda(resp_hdr)
-                    .payload(done.payload)
-                    .build();
+                let packet = worker::reply(
+                    &reply.reply_template,
+                    &reply.req_hdr,
+                    done.return_code,
+                    self.queue.len(),
+                    self.plane.epoch(),
+                    done.payload,
+                );
                 ctx.send(self.uplink, SimDuration::ZERO, packet);
                 self.counters.responses += 1;
                 return;
@@ -1541,7 +1216,7 @@ impl Component for Nic {
         };
         let msg = match msg.downcast::<ResidentTx>() {
             Ok(tx) => {
-                if self.crashed {
+                if crashed {
                     self.counters.dropped_crashed += 1;
                     return;
                 }
@@ -1566,14 +1241,14 @@ impl Component for Nic {
         };
         let msg = match msg.downcast::<RpcTimeout>() {
             Ok(t) => {
-                self.on_rpc_timeout(ctx, t.thread, t.epoch, t.rpc_seq);
+                self.on_rpc_timeout(ctx, *t);
                 return;
             }
             Err(other) => other,
         };
         let msg = match msg.downcast::<RdmaDispatch>() {
             Ok(rd) => {
-                if self.crashed {
+                if crashed {
                     self.counters.dropped_crashed += 1;
                 } else if !self.swapping && self.firmware.is_some() {
                     self.dispatch_request(ctx, rd.packet, rd.hdr, rd.payload, rd.extra_cycles);
@@ -1586,7 +1261,7 @@ impl Component for Nic {
         };
         let msg = match msg.downcast::<StageDone>() {
             Ok(sd) => {
-                if self.crashed {
+                if crashed {
                     self.counters.dropped_crashed += 1;
                 } else if !self.swapping && self.firmware.is_some() {
                     self.admit_to_thread(ctx, sd.pending);
@@ -1599,22 +1274,13 @@ impl Component for Nic {
         };
         let msg = match msg.downcast::<LoadFirmware>() {
             Ok(lf) => {
-                if self.crashed {
+                if crashed {
                     // A crashed NIC cannot take an image; the controller
                     // re-deploys after restart.
                     self.counters.dropped_crashed += 1;
                     return;
                 }
-                if self.lease.is_stale(lf.epoch) {
-                    // A deploy stamped before this worker's last rejoin:
-                    // the placement decision behind it has been fenced.
-                    self.counters.fenced_rejects += 1;
-                    ctx.emit(|| TraceEvent::FencedReject {
-                        request_id: 0,
-                        workload_id: 0,
-                        hdr_epoch: lf.epoch,
-                        worker_epoch: self.lease.epoch(),
-                    });
+                if self.plane.refuse_stale_deploy(ctx, lf.epoch) {
                     return;
                 }
                 self.swapping = true;

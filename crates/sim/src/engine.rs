@@ -182,7 +182,6 @@ pub struct Ctx<'a> {
     seq: &'a mut u64,
     rng: &'a mut SmallRng,
     stop: &'a mut bool,
-    trace: Option<&'a mut Vec<(SimTime, String)>>,
     emit: Option<EmitDest<'a>>,
     route: Option<RouteCtx<'a>>,
 }
@@ -274,14 +273,6 @@ impl Ctx<'_> {
     /// once the other shards finish the current round.
     pub fn stop(&mut self) {
         *self.stop = true;
-    }
-
-    /// Records a trace line when tracing is enabled; a no-op otherwise.
-    pub fn trace(&mut self, line: impl FnOnce() -> String) {
-        let now = self.now;
-        if let Some(buf) = self.trace.as_deref_mut() {
-            buf.push((now, line()));
-        }
     }
 
     /// Emits a structured [`TraceEvent`] when a tracer is attached; a no-op
@@ -377,7 +368,6 @@ struct Shard {
     stopped: bool,
     outbox: Vec<Scheduled>,
     tbuf: Vec<PendingRecord>,
-    lbuf: Vec<(SimTime, String)>,
 }
 
 impl Shard {
@@ -390,7 +380,6 @@ impl Shard {
         end: SimTime,
         shard_of: &[u32],
         lookahead: SimDuration,
-        trace_on: bool,
         emit_on: bool,
     ) {
         while !self.stopped {
@@ -423,7 +412,6 @@ impl Shard {
                     seq: &mut self.seq,
                     rng: &mut self.rng,
                     stop: &mut stop,
-                    trace: trace_on.then_some(&mut self.lbuf),
                     emit: emit_on.then_some(EmitDest::Buffer(&mut self.tbuf)),
                     route: Some(RouteCtx {
                         shard_of,
@@ -539,8 +527,6 @@ struct LaneMail {
     /// Shard-buffered structured trace records: `(shard, emission index,
     /// record)`.
     tbuf: Vec<(u32, u32, PendingRecord)>,
-    /// Shard-buffered string trace lines.
-    lbuf: Vec<(u32, u32, SimTime, String)>,
 }
 
 impl LaneSync {
@@ -606,13 +592,11 @@ fn relax(spins: &mut u32) -> bool {
 /// Body of one worker lane: waits for the coordinator to open a round,
 /// drains inbound cross-shard events, runs each owned shard's window, and
 /// publishes results. Returns the shards at shutdown.
-#[allow(clippy::too_many_arguments)]
 fn lane_loop(
     sync: &LaneSync,
     mut shards: Vec<Shard>,
     shard_of: &[u32],
     lookahead: SimDuration,
-    trace_on: bool,
     emit_on: bool,
     shutdown: &AtomicBool,
 ) -> Vec<Shard> {
@@ -661,15 +645,12 @@ fn lane_loop(
         }
         for shard in shards.iter_mut() {
             if shard.heap.peek().is_some_and(|Reverse(e)| e.at < end) {
-                shard.run_window(end, shard_of, lookahead, trace_on, emit_on);
+                shard.run_window(end, shard_of, lookahead, emit_on);
             }
             mail.outbox.append(&mut shard.outbox);
             let sid = shard.id;
             for (i, rec) in shard.tbuf.drain(..).enumerate() {
                 mail.tbuf.push((sid, i as u32, rec));
-            }
-            for (i, (at, line)) in shard.lbuf.drain(..).enumerate() {
-                mail.lbuf.push((sid, i as u32, at, line));
             }
         }
         let next = shards.iter().map(Shard::next_ns).min().unwrap_or(u64::MAX);
@@ -696,7 +677,6 @@ pub struct Simulation {
     seed: u64,
     rng: SmallRng,
     processed: u64,
-    trace: Option<Vec<(SimTime, String)>>,
     tracer: Option<Tracer>,
     threads: usize,
     pending_plan: Option<ShardPlan>,
@@ -727,7 +707,6 @@ impl Simulation {
             seed,
             rng: SmallRng::seed_from_u64(seed),
             processed: 0,
-            trace: None,
             tracer: None,
             threads: 1,
             pending_plan: None,
@@ -827,20 +806,6 @@ impl Simulation {
         } else {
             0
         }
-    }
-
-    /// Enables or disables trace capture (see [`Ctx::trace`]).
-    pub fn set_tracing(&mut self, on: bool) {
-        if on && self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        } else if !on {
-            self.trace = None;
-        }
-    }
-
-    /// Returns the captured trace lines, if tracing is enabled.
-    pub fn trace_lines(&self) -> &[(SimTime, String)] {
-        self.trace.as_deref().unwrap_or(&[])
     }
 
     /// Attaches a structured-trace sink; components emit to it through
@@ -991,7 +956,6 @@ impl Simulation {
                 stopped: false,
                 outbox: Vec::new(),
                 tbuf: Vec::new(),
-                lbuf: Vec::new(),
             })
             .collect();
         for (idx, slot) in self.components.iter_mut().enumerate() {
@@ -1054,7 +1018,6 @@ impl Simulation {
                 seq: &mut self.seq,
                 rng: &mut self.rng,
                 stop: &mut stop,
-                trace: self.trace.as_mut(),
                 emit: self.tracer.as_mut().map(EmitDest::Tracer),
                 route: None,
             };
@@ -1068,7 +1031,6 @@ impl Simulation {
     /// window, runs every active shard's slice of it, then merges outboxes
     /// and trace buffers at the barrier.
     fn round(&mut self, cap: Option<SimTime>) -> Round {
-        let trace_on = self.trace.is_some();
         let emit_on = self.tracer.is_some();
         let sh = self.sharded.as_mut().expect("round requires a shard plan");
         let lookahead = sh.lookahead;
@@ -1085,7 +1047,7 @@ impl Simulation {
         for shard in sh.shards.iter_mut() {
             shard.stopped = false;
             if shard.heap.peek().is_some_and(|Reverse(e)| e.at < end) {
-                shard.run_window(end, &shard_of, lookahead, trace_on, emit_on);
+                shard.run_window(end, &shard_of, lookahead, emit_on);
             }
         }
         // Barrier: route cross-shard events. Arrivals below the window end
@@ -1107,14 +1069,10 @@ impl Simulation {
         }
         // Merge shard-buffered trace output in (at, shard, index) order.
         let mut tbuf: Vec<(u32, u32, PendingRecord)> = Vec::new();
-        let mut lbuf: Vec<(u32, u32, SimTime, String)> = Vec::new();
         for shard in sh.shards.iter_mut() {
             let sid = shard.id;
             for (i, rec) in shard.tbuf.drain(..).enumerate() {
                 tbuf.push((sid, i as u32, rec));
-            }
-            for (i, (at, line)) in shard.lbuf.drain(..).enumerate() {
-                lbuf.push((sid, i as u32, at, line));
             }
         }
         sh.shard_of = shard_of;
@@ -1126,10 +1084,6 @@ impl Simulation {
         }
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.record_merged(tbuf);
-        }
-        if let Some(lines) = self.trace.as_mut() {
-            lbuf.sort_by_key(|&(sid, idx, at, _)| (at, sid, idx));
-            lines.extend(lbuf.into_iter().map(|(_, _, at, line)| (at, line)));
         }
         if stopped {
             Round::Stopped
@@ -1143,7 +1097,6 @@ impl Simulation {
     /// `cap`. Shard → lane assignment is round-robin by shard id; results
     /// are identical to [`Simulation::round`] by construction.
     fn run_rounds_parallel(&mut self, cap: Option<SimTime>) {
-        let trace_on = self.trace.is_some();
         let emit_on = self.tracer.is_some();
         let mut sharded = self.sharded.take().expect("parallel run requires shards");
         let lookahead = sharded.lookahead;
@@ -1185,7 +1138,7 @@ impl Simulation {
                 .map(|(sync, shards)| {
                     scope.spawn(move || {
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            lane_loop(sync, shards, so, lookahead, trace_on, emit_on, shutdown_ref)
+                            lane_loop(sync, shards, so, lookahead, emit_on, shutdown_ref)
                         }));
                         match out {
                             Ok(shards) => shards,
@@ -1198,10 +1151,7 @@ impl Simulation {
                 })
                 .collect();
 
-            let tracer = self.tracer.as_mut();
-            let lines = self.trace.as_mut();
-            let mut tracer = tracer;
-            let mut lines = lines;
+            let mut tracer = self.tracer.as_mut();
             let mut epoch = 0u64;
             let mut stopped = false;
             loop {
@@ -1230,19 +1180,15 @@ impl Simulation {
 
                 let mut round_out: Vec<Scheduled> = Vec::new();
                 let mut tbuf: Vec<(u32, u32, PendingRecord)> = Vec::new();
-                let mut lbuf: Vec<(u32, u32, SimTime, String)> = Vec::new();
                 if lane_next[0] < end_ns {
                     for shard in own.iter_mut() {
                         if shard.heap.peek().is_some_and(|Reverse(e)| e.at < end) {
-                            shard.run_window(end, so, lookahead, trace_on, emit_on);
+                            shard.run_window(end, so, lookahead, emit_on);
                         }
                         round_out.append(&mut shard.outbox);
                         let sid = shard.id;
                         for (i, rec) in shard.tbuf.drain(..).enumerate() {
                             tbuf.push((sid, i as u32, rec));
-                        }
-                        for (i, (at, line)) in shard.lbuf.drain(..).enumerate() {
-                            lbuf.push((sid, i as u32, at, line));
                         }
                         if shard.stopped {
                             stopped = true;
@@ -1277,7 +1223,6 @@ impl Simulation {
                     let mut mail = sync.mail.lock().unwrap();
                     round_out.append(&mut mail.outbox);
                     tbuf.append(&mut mail.tbuf);
-                    lbuf.append(&mut mail.lbuf);
                     drop(mail);
                     lane_next[w + 1] = sync.next_ns.load(Ordering::Relaxed);
                     if sync.stopped.swap(false, Ordering::Relaxed) {
@@ -1318,10 +1263,6 @@ impl Simulation {
                 }
                 if let Some(tracer) = tracer.as_deref_mut() {
                     tracer.record_merged(tbuf);
-                }
-                if let Some(lines) = lines.as_deref_mut() {
-                    lbuf.sort_by_key(|&(sid, idx, at, _)| (at, sid, idx));
-                    lines.extend(lbuf.into_iter().map(|(_, _, at, line)| (at, line)));
                 }
             }
 
@@ -1596,25 +1537,6 @@ mod tests {
     }
 
     #[test]
-    fn tracing_captures_lines() {
-        struct Tracer;
-        impl Component for Tracer {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMessage) {
-                ctx.trace(|| "handled".to_owned());
-            }
-        }
-        let mut sim = Simulation::new(1);
-        sim.set_tracing(true);
-        let t = sim.add(Tracer);
-        sim.post(t, SimDuration::from_nanos(3), Ping(0));
-        sim.run();
-        assert_eq!(
-            sim.trace_lines(),
-            &[(SimTime::from_nanos(3), "handled".to_owned())]
-        );
-    }
-
-    #[test]
     fn run_with_limit_panics_on_livelock() {
         struct Loop;
         impl Component for Loop {
@@ -1830,12 +1752,12 @@ mod tests {
         }
         impl Component for Talker {
             fn handle(&mut self, ctx: &mut Ctx<'_>, _msg: AnyMessage) {
-                let tag = self.tag;
-                ctx.trace(|| tag.to_owned());
+                let label = self.tag;
+                ctx.emit(|| TraceEvent::Mark { label, a: 0, b: 0 });
             }
         }
         let mut sim = Simulation::new(1);
-        sim.set_tracing(true);
+        sim.add_trace_sink(Box::new(crate::trace::RingSink::new(16)));
         let a = sim.add(Talker { tag: "a" });
         let b = sim.add(Talker { tag: "b" });
         let mut plan = ShardPlan::new(2, SimDuration::from_nanos(50));
@@ -1846,11 +1768,20 @@ mod tests {
         sim.post(a, SimDuration::from_nanos(30), Ping(0));
         sim.post(b, SimDuration::from_nanos(10), Ping(0));
         sim.run();
+        let marks: Vec<(SimTime, &str)> = sim
+            .trace_sink::<crate::trace::RingSink>()
+            .unwrap()
+            .records()
+            .map(|r| match r.event {
+                TraceEvent::Mark { label, .. } => (r.at, label),
+                _ => unreachable!("talkers only mark"),
+            })
+            .collect();
         assert_eq!(
-            sim.trace_lines(),
-            &[
-                (SimTime::from_nanos(10), "b".to_owned()),
-                (SimTime::from_nanos(30), "a".to_owned())
+            marks,
+            [
+                (SimTime::from_nanos(10), "b"),
+                (SimTime::from_nanos(30), "a")
             ]
         );
     }

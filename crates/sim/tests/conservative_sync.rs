@@ -10,8 +10,9 @@
 //! 2. **Per-component monotonicity** — each component observes a
 //!    non-decreasing clock across its deliveries.
 //! 3. **Thread-count invariance** — the same topology and seed produce
-//!    byte-identical trace lines, delivery logs, and final clocks at
-//!    1, 2, and 4 executor threads.
+//!    byte-identical trace records, delivery logs, and final clocks at
+//!    1, 2, and 4 executor threads, and the shard-buffered records merge
+//!    in time order, as a serial run emits them.
 //!
 //! The engine additionally self-checks (`conservative sync violated`
 //! assertions at both merge points); any violation panics the run and
@@ -59,7 +60,12 @@ impl Component for Node {
         );
         assert_eq!(ctx.shard(), self.shard, "component ran on a foreign shard");
         self.seen.push((now.as_nanos(), hop.ttl));
-        ctx.trace(|| format!("hop ttl={} shard={}", hop.ttl, self.shard));
+        let (ttl, shard) = (u64::from(hop.ttl), self.shard as u64);
+        ctx.emit(|| TraceEvent::Mark {
+            label: "hop",
+            a: ttl,
+            b: shard,
+        });
         if hop.ttl == 0 || self.peers.is_empty() {
             return;
         }
@@ -91,8 +97,21 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Collects the hop marks in the order the tracer received them:
+/// `(at, component index, ttl, shard)`.
+#[derive(Default)]
+struct Marks(Vec<(SimTime, usize, u64, u64)>);
+
+impl TraceSink for Marks {
+    fn on_record(&mut self, rec: &TraceRecord) {
+        if let TraceEvent::Mark { a, b, .. } = rec.event {
+            self.0.push((rec.at, rec.src.index(), a, b));
+        }
+    }
+}
+
 struct RunLog {
-    trace: Vec<(SimTime, String)>,
+    trace: Vec<(SimTime, usize, u64, u64)>,
     seen: Vec<Vec<(u64, u32)>>,
     processed: u64,
     end: SimTime,
@@ -114,7 +133,7 @@ fn run_mesh(
 ) -> RunLog {
     let lookahead = SimDuration::from_nanos(lookahead_ns);
     let mut sim = Simulation::new(seed);
-    sim.set_tracing(true);
+    sim.add_trace_sink(Box::new(Marks::default()));
     sim.set_threads(threads);
 
     let mut plan = ShardPlan::new(shards, lookahead);
@@ -167,7 +186,7 @@ fn run_mesh(
     sim.run();
 
     RunLog {
-        trace: sim.trace_lines().to_vec(),
+        trace: sim.trace_sink::<Marks>().expect("marks sink").0.clone(),
         seen: ids
             .iter()
             .map(|&id| sim.get::<Node>(id).expect("node").seen.clone())
@@ -197,6 +216,11 @@ proptest! {
         let base = run_mesh(seed, topo_seed, shards, nodes_per_shard,
                             lookahead_ns, fanout, starts, ttl, 1);
         prop_assert!(base.processed > 0, "mesh must actually run");
+        prop_assert_eq!(base.trace.len() as u64, base.processed, "one mark per delivery");
+        prop_assert!(
+            base.trace.windows(2).all(|w| w[0].0 <= w[1].0),
+            "shard-buffered marks merge in time order, as a serial run emits them"
+        );
 
         // The identical schedule must replay bit-for-bit on parallel
         // executors.
@@ -205,7 +229,7 @@ proptest! {
                                lookahead_ns, fanout, starts, ttl, threads);
             prop_assert_eq!(run.processed, base.processed, "event count at {} threads", threads);
             prop_assert_eq!(run.end, base.end, "final clock at {} threads", threads);
-            prop_assert_eq!(&run.trace, &base.trace, "trace lines at {} threads", threads);
+            prop_assert_eq!(&run.trace, &base.trace, "trace records at {} threads", threads);
             prop_assert_eq!(&run.seen, &base.seen, "delivery logs at {} threads", threads);
         }
     }
