@@ -168,6 +168,9 @@ fn bench_compiler(c: &mut Criterion) {
             )
         })
     });
+    c.bench_function("workloads/benchmark_program", |b| {
+        b.iter(|| black_box(benchmark_program(&SuiteConfig::default()).lambdas.len()))
+    });
     // The wide multi-tenant catalog (~60k words): its pages fault in
     // from external memory, so it compiles against an unbounded store.
     let fleet = tenant_fleet_program(100, 600);
@@ -211,6 +214,7 @@ fn bench_wfq(c: &mut Criterion) {
 
 fn bench_kv_protocol(c: &mut Criterion) {
     use lnic_kv::protocol::{Request, Response};
+    use lnic_kv::server::{KvServer, KvServerParams};
     let set = Request::Set {
         key: "user:12345".into(),
         flags: 0,
@@ -228,6 +232,22 @@ fn bench_kv_protocol(c: &mut Criterion) {
     .encode();
     c.bench_function("kv/parse_value_512B", |b| {
         b.iter(|| black_box(Response::decode(&value).unwrap()))
+    });
+    // The testbeds' store pre-population; the server never replies here,
+    // so its uplink is a placeholder id.
+    let uplink = ComponentId::from_index_for_tests(0);
+    c.bench_function("kv/populate_1000", |b| {
+        b.iter(|| {
+            let mut kv = KvServer::new(KvServerParams::default(), uplink);
+            for id in 0..1_000 {
+                kv.insert(
+                    format!("user:{id}"),
+                    0,
+                    Bytes::from(format!("profile-record-{id:08}")),
+                );
+            }
+            black_box(kv.stored_bytes())
+        })
     });
 }
 

@@ -5,10 +5,9 @@
 //! path): requests serialize through it with a per-operation service
 //! time plus a per-byte cost for large values.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use lnic_net::packet::Packet;
+use lnic_sim::hash::FastHashMap;
 use lnic_sim::prelude::*;
 
 use crate::protocol::{Request, Response};
@@ -60,9 +59,9 @@ pub struct KvCounters {
 pub struct KvServer {
     params: KvServerParams,
     uplink: ComponentId,
-    data: HashMap<String, (u32, Bytes)>,
-    /// LRU recency: key -> last-use stamp (higher = more recent).
-    recency: HashMap<String, u64>,
+    /// key -> (flags, value, last-use stamp); a higher stamp is more
+    /// recent and no two entries share one.
+    data: FastHashMap<String, (u32, Bytes, u64)>,
     clock: u64,
     stored_bytes: usize,
     counters: KvCounters,
@@ -76,8 +75,7 @@ impl KvServer {
         KvServer {
             params,
             uplink,
-            data: HashMap::new(),
-            recency: HashMap::new(),
+            data: FastHashMap::default(),
             clock: 0,
             stored_bytes: 0,
             counters: KvCounters::default(),
@@ -95,37 +93,18 @@ impl KvServer {
         self.stored_bytes
     }
 
-    fn touch(&mut self, key: &str) {
-        self.clock += 1;
-        if let Some(r) = self.recency.get_mut(key) {
-            *r = self.clock;
-        }
-    }
-
     fn store(&mut self, key: String, flags: u32, value: Bytes) {
-        if let Some((_, old)) = self.data.remove(&key) {
-            self.stored_bytes -= old.len();
-            self.recency.remove(&key);
-        }
         self.stored_bytes += value.len();
         self.clock += 1;
-        self.recency.insert(key.clone(), self.clock);
-        self.data.insert(key, (flags, value));
+        if let Some((_, old, _)) = self.data.insert(key, (flags, value, self.clock)) {
+            self.stored_bytes -= old.len();
+        }
         // Evict least-recently-used entries until under the cap.
         while self.stored_bytes > self.params.max_bytes && self.data.len() > 1 {
-            let Some(victim) = self
-                .recency
-                .iter()
-                .min_by_key(|(_, &stamp)| stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some((_, v)) = self.data.remove(&victim) {
-                self.stored_bytes -= v.len();
-                self.counters.evictions += 1;
-            }
-            self.recency.remove(&victim);
+            let (victim, _) = self.data.iter().min_by_key(|(_, e)| e.2).expect("2+ keys");
+            let (_, v, _) = self.data.remove(&victim.clone()).expect("victim is stored");
+            self.stored_bytes -= v.len();
+            self.counters.evictions += 1;
         }
     }
 
@@ -151,10 +130,12 @@ impl KvServer {
         match request {
             Ok(Request::Get { key }) => {
                 self.counters.gets += 1;
-                match self.data.get(&key).cloned() {
-                    Some((flags, value)) => {
+                match self.data.get_mut(&key) {
+                    Some((flags, value, stamp)) => {
                         self.counters.hits += 1;
-                        self.touch(&key);
+                        self.clock += 1;
+                        *stamp = self.clock;
+                        let (flags, value) = (*flags, value.clone());
                         let len = value.len();
                         (Response::Value { key, flags, value }, len)
                     }
@@ -172,9 +153,8 @@ impl KvServer {
             }
             Ok(Request::Delete { key }) => {
                 self.counters.deletes += 1;
-                self.recency.remove(&key);
                 match self.data.remove(&key) {
-                    Some((_, v)) => {
+                    Some((_, v, _)) => {
                         self.stored_bytes -= v.len();
                         (Response::Deleted, 0)
                     }
@@ -397,6 +377,77 @@ mod tests {
             .collect();
         assert_eq!(responses[0], Response::Miss);
         assert!(matches!(responses[1], Response::Value { .. }));
+    }
+
+    /// A server capped at three 100-byte values holding `a`, `b`, `c`
+    /// stored in that order.
+    fn capped_abc() -> (Simulation, ComponentId) {
+        let mut sim = Simulation::new(5);
+        let sink = sim.add(Sink { got: vec![] });
+        let params = KvServerParams {
+            max_bytes: 300,
+            ..Default::default()
+        };
+        let server = sim.add(KvServer::new(params, sink));
+        let srv = sim.get_mut::<KvServer>(server).unwrap();
+        for key in ["a", "b", "c"] {
+            srv.insert(key, 0, Bytes::from(vec![0u8; 100]));
+        }
+        (sim, server)
+    }
+
+    fn keys(srv: &KvServer) -> Vec<&str> {
+        let mut keys: Vec<&str> = srv.data.keys().map(String::as_str).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn miss_and_delete_keep_the_others_eviction_order() {
+        let (mut sim, server) = capped_abc();
+        for req in [
+            Request::Get { key: "zz".into() },
+            Request::Delete { key: "b".into() },
+        ] {
+            sim.post(server, SimDuration::ZERO, request_packet(&req));
+        }
+        sim.run();
+        let srv = sim.get_mut::<KvServer>(server).unwrap();
+        assert_eq!(keys(srv), ["a", "c"]);
+        srv.insert("d", 0, Bytes::from(vec![0u8; 100]));
+        assert_eq!(srv.counters().evictions, 0);
+        // `a` is the oldest left, then `c`.
+        srv.insert("e", 0, Bytes::from(vec![0u8; 100]));
+        assert_eq!(keys(srv), ["c", "d", "e"]);
+        srv.insert("f", 0, Bytes::from(vec![0u8; 100]));
+        assert_eq!(keys(srv), ["d", "e", "f"]);
+        assert_eq!(srv.counters().evictions, 2);
+        assert_eq!(srv.stored_bytes(), 300);
+    }
+
+    #[test]
+    fn reset_refreshes_recency_and_keeps_stored_bytes_exact() {
+        let (mut sim, server) = capped_abc();
+        sim.post(
+            server,
+            SimDuration::ZERO,
+            request_packet(&Request::Set {
+                key: "a".into(),
+                flags: 7,
+                value: Bytes::from(vec![1u8; 50]),
+            }),
+        );
+        sim.run();
+        let srv = sim.get_mut::<KvServer>(server).unwrap();
+        assert_eq!((srv.len(), srv.stored_bytes()), (3, 250));
+        // `b` is now the least recently used.
+        srv.insert("d", 0, Bytes::from(vec![0u8; 100]));
+        assert_eq!(keys(srv), ["a", "c", "d"]);
+        assert_eq!(srv.stored_bytes(), 250);
+        assert_eq!(srv.data["a"].0, 7);
+        srv.insert("e", 0, Bytes::from(vec![0u8; 100]));
+        assert_eq!(keys(srv), ["a", "d", "e"]);
+        assert_eq!(srv.stored_bytes(), 250);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! assert_eq!(f.name, "double");
 //! ```
 
-use std::collections::HashMap;
-
 use crate::ir::{AluOp, Cmp, FuncRef, Function, HeaderField, Instr, ObjId, Reg, Width};
 
 /// A named jump target within a function being built.
@@ -33,11 +31,11 @@ pub struct Label(usize);
 pub struct FnBuilder {
     name: String,
     body: Vec<Instr>,
-    /// Label definitions: label -> instruction index.
-    defs: HashMap<Label, u32>,
+    /// Label definitions, indexed by label: the instruction index it
+    /// was placed at, `None` until placed.
+    defs: Vec<Option<u32>>,
     /// Uses awaiting backpatch: instruction index -> label.
     uses: Vec<(usize, Label)>,
-    next_label: usize,
 }
 
 impl FnBuilder {
@@ -46,17 +44,15 @@ impl FnBuilder {
         FnBuilder {
             name: name.into(),
             body: Vec::new(),
-            defs: HashMap::new(),
+            defs: Vec::new(),
             uses: Vec::new(),
-            next_label: 0,
         }
     }
 
     /// Allocates a fresh, not-yet-placed label.
     pub fn label(&mut self) -> Label {
-        let l = Label(self.next_label);
-        self.next_label += 1;
-        l
+        self.defs.push(None);
+        Label(self.defs.len() - 1)
     }
 
     /// Places `label` at the current position.
@@ -65,8 +61,9 @@ impl FnBuilder {
     ///
     /// Panics if the label was already placed.
     pub fn place(mut self, label: Label) -> Self {
-        let prev = self.defs.insert(label, self.body.len() as u32);
-        assert!(prev.is_none(), "label placed twice");
+        let def = &mut self.defs[label.0];
+        assert!(def.is_none(), "label placed twice");
+        *def = Some(self.body.len() as u32);
         self
     }
 
@@ -231,9 +228,11 @@ impl FnBuilder {
     pub fn build(self) -> Function {
         let mut body = self.body;
         for (idx, label) in self.uses {
-            let target = *self
+            let target = self
                 .defs
-                .get(&label)
+                .get(label.0)
+                .copied()
+                .flatten()
                 .unwrap_or_else(|| panic!("label {label:?} used but never placed"));
             match &mut body[idx] {
                 Instr::Branch { target: t, .. } | Instr::Jump { target: t } => *t = target,

@@ -7,7 +7,7 @@
 //! generating packets) and move it into shared libraries as helper
 //! functions."
 
-use std::collections::HashMap;
+use lnic_sim::hash::FastHashMap;
 
 use crate::ir::{FuncRef, Function, Instr};
 use crate::program::Program;
@@ -124,53 +124,51 @@ fn is_shareable(f: &Function) -> bool {
 /// Moves identical shareable helper bodies (appearing in two or more
 /// places) into `program.shared` and rewrites call sites.
 fn dedup_into_shared(p: &mut Program, report: &mut CoalesceReport) {
-    // Count identical shareable bodies across all lambdas (excluding
-    // entries, which stay local as dispatch anchors).
-    let mut counts: HashMap<&[Instr], usize> = HashMap::new();
+    // One entry per distinct shareable body across all lambdas (entries
+    // stay local as dispatch anchors): its occurrence count and, once
+    // assigned, its shared index. `first` keeps first-occurrence order,
+    // which fixes the shared numbering and names.
+    let mut bodies: FastHashMap<&[Instr], (usize, Option<u16>)> = FastHashMap::default();
+    let mut first: Vec<(&[Instr], &str)> = Vec::new();
     for lambda in &p.lambdas {
         for f in lambda.functions.iter().skip(1) {
             if is_shareable(f) {
-                *counts.entry(f.body.as_slice()).or_default() += 1;
+                bodies
+                    .entry(&f.body)
+                    .or_insert_with(|| {
+                        first.push((&f.body, &f.name));
+                        (0, None)
+                    })
+                    .0 += 1;
             }
         }
     }
-    let duplicated: Vec<Vec<Instr>> = counts
-        .into_iter()
-        .filter(|(_, c)| *c >= 2)
-        .map(|(body, _)| body.to_vec())
-        .collect();
-    if duplicated.is_empty() {
+    let mut shared = Vec::new();
+    for (body, name) in first {
+        let entry = bodies.get_mut(body).expect("counted above");
+        if entry.0 >= 2 {
+            entry.1 = Some((p.shared.len() + shared.len()) as u16);
+            shared.push(Function::new(format!("shared_{name}"), body.to_vec()));
+        }
+    }
+    if shared.is_empty() {
         return;
     }
-
-    // Assign shared indices (stable order: first occurrence in program).
-    let mut shared_index: HashMap<Vec<Instr>, u16> = HashMap::new();
-    for lambda in &p.lambdas {
-        for f in lambda.functions.iter().skip(1) {
-            if duplicated.contains(&f.body) && !shared_index.contains_key(&f.body) {
-                let idx = p.shared.len() as u16;
-                p.shared
-                    .push(Function::new(format!("shared_{}", f.name), f.body.clone()));
-                shared_index.insert(f.body.clone(), idx);
-                report.functions_shared += 1;
-            }
-        }
-    }
+    let targets: Vec<Vec<Option<u16>>> = p
+        .lambdas
+        .iter()
+        .map(|lambda| {
+            let helpers = lambda.functions.iter().skip(1);
+            std::iter::once(None)
+                .chain(helpers.map(|f| bodies.get(f.body.as_slice()).and_then(|e| e.1)))
+                .collect()
+        })
+        .collect();
+    report.functions_shared += shared.len();
+    p.shared.extend(shared);
 
     // Rewrite every call whose local callee's body is now shared.
-    for lambda in &mut p.lambdas {
-        let targets: Vec<Option<u16>> = lambda
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                if i == 0 {
-                    None
-                } else {
-                    shared_index.get(&f.body).copied()
-                }
-            })
-            .collect();
+    for (lambda, targets) in p.lambdas.iter_mut().zip(targets) {
         for f in &mut lambda.functions {
             for instr in &mut f.body {
                 if let Instr::Call {

@@ -185,16 +185,16 @@ fn fold_function(f: &mut Function, report: &mut FoldReport) {
     // instructions map to the next surviving instruction.
     let mut remap: Vec<u32> = Vec::with_capacity(f.body.len());
 
-    for (pc, instr) in f.body.iter().enumerate() {
+    for (pc, &instr) in f.body.iter().enumerate() {
         if targets.contains(&(pc as u32)) {
             known.clear();
         }
         remap.push(out.len() as u32);
 
-        let rewritten: Option<Instr> = match *instr {
+        let rewritten: Option<Instr> = match instr {
             Instr::Const { dst, value } => {
                 known.insert(dst, value);
-                Some(instr.clone())
+                Some(instr)
             }
             Instr::Mov { dst, src } => {
                 if dst == src {
@@ -209,7 +209,7 @@ fn fold_function(f: &mut Function, report: &mut FoldReport) {
                         }
                         None => {
                             known.remove(&dst);
-                            Some(instr.clone())
+                            Some(instr)
                         }
                     }
                 }
@@ -224,7 +224,7 @@ fn fold_function(f: &mut Function, report: &mut FoldReport) {
                     }
                     _ => {
                         known.remove(&dst);
-                        Some(instr.clone())
+                        Some(instr)
                     }
                 }
             }
@@ -239,7 +239,7 @@ fn fold_function(f: &mut Function, report: &mut FoldReport) {
                     None
                 } else {
                     known.remove(&dst);
-                    Some(instr.clone())
+                    Some(instr)
                 }
             }
             Instr::Branch { cmp, a, b, target } => {
@@ -252,7 +252,7 @@ fn fold_function(f: &mut Function, report: &mut FoldReport) {
                             None // never taken: fall through
                         }
                     }
-                    _ => Some(instr.clone()),
+                    _ => Some(instr),
                 }
             }
             // Calls share the register file with the callee; RPC resumes
@@ -260,13 +260,13 @@ fn fold_function(f: &mut Function, report: &mut FoldReport) {
             // anything.
             Instr::Call { .. } | Instr::NetRpc { .. } => {
                 known.clear();
-                Some(instr.clone())
+                Some(instr)
             }
-            ref other => {
+            other => {
                 if let Some(dst) = other.writes() {
                     known.remove(&dst);
                 }
-                Some(other.clone())
+                Some(other)
             }
         };
         if let Some(i) = rewritten {

@@ -128,7 +128,7 @@ impl Sink for Vec<Word> {
     }
 
     fn push_ir(&mut self, instr: &Instr) {
-        self.push(Word::Ir(instr.clone()));
+        self.push(Word::Ir(*instr));
     }
 
     fn len(&self) -> usize {

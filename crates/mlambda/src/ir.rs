@@ -206,8 +206,8 @@ pub enum FuncRef {
     Shared(u16),
 }
 
-/// One IR instruction.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// One IR instruction: a 16-byte enum of integers, so it is `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// `r[dst] = value`
     Const {
@@ -532,6 +532,12 @@ pub mod retcode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn instr_is_sixteen_bytes() {
+        // Bodies are copied by memcpy; a wider variant would double them.
+        assert_eq!(std::mem::size_of::<Instr>(), 16);
+    }
 
     #[test]
     fn alu_ops_semantics() {

@@ -120,7 +120,8 @@ mod tests {
     use super::*;
     use lnic_mlambda::compile::lower::lower;
     use lnic_mlambda::compile::{
-        compile, count_words, naive_placements, CompileOptions, LowerOptions, OptReport,
+        coalesce, compile, count_words, naive_placements, CoalesceReport, CompileOptions,
+        LowerOptions, OptReport,
     };
 
     #[test]
@@ -166,6 +167,31 @@ mod tests {
                 after_match_reduction: 841,
                 after_stratification: 811,
             }
+        );
+    }
+
+    #[test]
+    fn benchmark_program_coalescing_is_pinned() {
+        let (out, report) = coalesce(&benchmark_program(&SuiteConfig::default()));
+        assert_eq!(
+            report,
+            CoalesceReport {
+                functions_shared: 5,
+                calls_rewritten: 14,
+                functions_removed: 12,
+                instrs_removed: 0,
+            }
+        );
+        let names: Vec<&str> = out.shared.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "shared_format_decimal",
+                "shared_classify_kv_response",
+                "shared_emit_reply_preamble",
+                "shared_checksum64",
+                "shared_log_entry",
+            ]
         );
     }
 

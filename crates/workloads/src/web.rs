@@ -32,16 +32,18 @@ pub struct WebContent {
 impl WebContent {
     /// Generates `count` HTML-ish pages of roughly `page_size` bytes.
     pub fn generate(count: usize, page_size: usize) -> Self {
+        const TAIL: &[u8] = b"</body></html>";
         let pages = (0..count)
             .map(|i| {
                 let mut page =
                     format!("<html><head><title>page {i}</title></head><body>").into_bytes();
-                while page.len() < page_size.saturating_sub(14) {
-                    page.extend_from_slice(
-                        format!("<p>lambda-nic serves page {i} fast</p>").as_bytes(),
-                    );
+                let para = format!("<p>lambda-nic serves page {i} fast</p>");
+                let body_end = page_size.saturating_sub(TAIL.len());
+                page.reserve(body_end.saturating_sub(page.len()) + para.len() + TAIL.len());
+                while page.len() < body_end {
+                    page.extend_from_slice(para.as_bytes());
                 }
-                page.extend_from_slice(b"</body></html>");
+                page.extend_from_slice(TAIL);
                 page
             })
             .collect();
@@ -236,6 +238,19 @@ mod tests {
         let count = |l: &Lambda| l.functions.iter().map(|f| f.body.len()).sum::<usize>();
         // Each extra page costs 5 dispatch instructions.
         assert_eq!(count(&large), count(&small) + 60 * 5);
+    }
+
+    #[test]
+    fn generated_content_is_pinned() {
+        let c = WebContent::generate(64, 1024);
+        assert_eq!(c.pages.len(), 64);
+        let bytes = c.pages.concat();
+        assert_eq!(bytes.len(), 67_560);
+        // FNV-1a-64 of the concatenated pages.
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(hash, 0x2059_0d02_c07b_9c95);
     }
 
     #[test]
