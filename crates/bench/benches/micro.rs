@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the substrate hot paths: the
-//! discrete-event engine, packet codecs, fragmentation/reordering
+//! discrete-event engine, byte buffers, packet codecs, fragmentation/reordering
 //! (footnote 3), the Match+Lambda interpreter and compiler, the WFQ,
 //! the memcached protocol, and Raft leader election.
 
@@ -60,6 +60,14 @@ fn bench_packet_codec(c: &mut Criterion) {
     let wire = packet.encode();
     c.bench_function("net/decode_1400B", |b| {
         b.iter(|| black_box(Packet::decode(&wire).unwrap()))
+    });
+}
+
+fn bench_bytes(c: &mut Criterion) {
+    // `From<Vec>` copies the vector into the buffer's one heap block.
+    let v = vec![7u8; 64 * 1024];
+    c.bench_function("bytes/from_vec_64KiB", |b| {
+        b.iter(|| black_box(Bytes::from(black_box(v.clone())).len()))
     });
 }
 
@@ -318,6 +326,7 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_packet_codec,
+    bench_bytes,
     bench_reorder,
     bench_interpreter,
     bench_compiler,

@@ -172,7 +172,8 @@ impl Reassembler {
             .partials
             .remove(&hdr.request_id)
             .expect("just inserted");
-        let mut payload = BytesMut::new();
+        let total = partial.received.iter().flatten().map(Bytes::len).sum();
+        let mut payload = BytesMut::with_capacity(total);
         for frag in partial.received.into_iter() {
             payload.extend_from_slice(&frag.expect("all fragments received"));
         }

@@ -81,6 +81,9 @@ impl Series {
     /// Returns the `q`-quantile (0.0 ..= 1.0) in nanoseconds using
     /// nearest-rank interpolation, or `None` when empty.
     ///
+    /// Selects the rank on a copy of the samples in O(n) rather than
+    /// sorting it.
+    ///
     /// # Panics
     ///
     /// Panics if `q` is outside `0.0..=1.0`.
@@ -89,9 +92,9 @@ impl Series {
         if self.samples_ns.is_empty() {
             return None;
         }
-        let mut sorted = self.samples_ns.clone();
-        sorted.sort_unstable();
-        Some(sorted[nearest_rank(q, sorted.len())])
+        let mut samples = self.samples_ns.clone();
+        let rank = nearest_rank(q, samples.len());
+        Some(*samples.select_nth_unstable(rank).1)
     }
 
     /// Merges another series' samples into this one.
@@ -419,6 +422,30 @@ mod tests {
         assert_eq!(s.quantile_ns(1.0), Some(100));
         assert_eq!(s.quantile_ns(0.5), Some(50));
         assert!(Series::new("e").quantile_ns(0.5).is_none());
+    }
+
+    #[test]
+    fn series_quantile_matches_sorted_nearest_rank() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        for n in [1usize, 2, 3, 10, 101, 1_000] {
+            let mut s = Series::new("q");
+            for _ in 0..n {
+                // A narrow range, so ties are common.
+                s.record_ns(rng.gen_range(0..(n as u64 / 2 + 1)));
+            }
+            let mut sorted = s.samples_ns().to_vec();
+            sorted.sort_unstable();
+            for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
+                assert_eq!(
+                    s.quantile_ns(q),
+                    Some(sorted[nearest_rank(q, n)]),
+                    "n={n} q={q}"
+                );
+            }
+            assert_eq!(s.quantile_ns(0.0), sorted.first().copied());
+            assert_eq!(s.quantile_ns(1.0), sorted.last().copied());
+        }
     }
 
     #[test]

@@ -4,27 +4,47 @@
 //! workspace vendors the (small) portion of the `bytes` API it uses:
 //! [`Bytes`], [`BytesMut`], and the [`Buf`]/[`BufMut`] traits with
 //! big-endian integer accessors. Semantics match the real crate for the
-//! covered surface; cheap clones are provided by an `Arc`-backed buffer
-//! with a view range.
+//! covered surface. A [`Bytes`] is one `Arc<[u8]>` heap block plus a
+//! `u32` view range, so clones and slices are cheap and one buffer costs
+//! one allocation; building one from a `Vec` copies its bytes once.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, DerefMut, RangeBounds};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A cheaply cloneable, immutable, contiguous slice of memory.
-#[derive(Clone, Default)]
+///
+/// The handle is 24 bytes: the shared buffer and the `start..end` view
+/// into it. Views are limited to `u32::MAX` bytes.
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    end: usize,
+    data: Arc<[u8]>,
+    start: u32,
+    end: u32,
+}
+
+/// Converts a buffer length or offset to the `u32` a view stores.
+///
+/// # Panics
+///
+/// Panics when `n` exceeds `u32::MAX`.
+fn view_offset(n: usize) -> u32 {
+    u32::try_from(n)
+        .unwrap_or_else(|_| panic!("Bytes buffer of {n} bytes exceeds the 4 GiB (u32::MAX) limit"))
 }
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
+    /// Creates an empty `Bytes`. All empty buffers share one static block,
+    /// so this does not allocate.
     pub fn new() -> Self {
-        Bytes::default()
+        static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
+        Bytes {
+            data: Arc::clone(EMPTY.get_or_init(|| Arc::from(&[][..]))),
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Creates `Bytes` from a static slice (copies in this shim).
@@ -32,14 +52,33 @@ impl Bytes {
         Bytes::copy_from_slice(bytes)
     }
 
-    /// Copies `data` into a new `Bytes`.
+    /// Copies `data` into a new `Bytes`: one allocation, or none when
+    /// `data` is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` is longer than `u32::MAX` bytes.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        if data.is_empty() {
+            Bytes::new()
+        } else {
+            Bytes::from_block(Arc::from(data))
+        }
+    }
+
+    /// Views the whole of `data`.
+    fn from_block(data: Arc<[u8]>) -> Self {
+        let end = view_offset(data.len());
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
     }
 
     /// Length of the view in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the view is empty.
@@ -64,10 +103,11 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
+        // In bounds, so both fit in u32 beside `start`.
         Bytes {
             data: Arc::clone(&self.data),
-            start: self.start + lo,
-            end: self.start + hi,
+            start: self.start + lo as u32,
+            end: self.start + hi as u32,
         }
     }
 
@@ -79,7 +119,7 @@ impl Bytes {
     pub fn split_to(&mut self, at: usize) -> Self {
         assert!(at <= self.len(), "split_to out of bounds");
         let head = self.slice(..at);
-        self.start += at;
+        self.start += at as u32;
         head
     }
 
@@ -92,23 +132,26 @@ impl Bytes {
     pub fn split_off(&mut self, at: usize) -> Self {
         assert!(at <= self.len(), "split_off out of bounds");
         let tail = self.slice(at..);
-        self.end = self.start + at;
+        self.end = self.start + at as u32;
         tail
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data[self.start as usize..self.end as usize]
     }
 }
 
+impl Default for Bytes {
+    fn default() -> Self {
+        Bytes::new()
+    }
+}
+
+/// Copies the vector's `len` bytes into one exact-size block; its spare
+/// capacity is not kept.
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: Arc::new(v),
-            start: 0,
-            end,
-        }
+        Bytes::copy_from_slice(&v)
     }
 }
 
@@ -120,7 +163,7 @@ impl From<&'static [u8]> for Bytes {
 
 impl From<String> for Bytes {
     fn from(s: String) -> Self {
-        Bytes::from(s.into_bytes())
+        Bytes::copy_from_slice(s.as_bytes())
     }
 }
 
@@ -255,7 +298,12 @@ impl<'a> IntoIterator for &'a Bytes {
 
 impl FromIterator<u8> for Bytes {
     fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
-        Bytes::from(iter.into_iter().collect::<Vec<u8>>())
+        let data: Arc<[u8]> = iter.into_iter().collect();
+        if data.is_empty() {
+            Bytes::new()
+        } else {
+            Bytes::from_block(data)
+        }
     }
 }
 
@@ -315,9 +363,10 @@ impl BytesMut {
         BytesMut { data: head }
     }
 
-    /// Converts the buffer into an immutable [`Bytes`].
+    /// Converts the buffer into an immutable [`Bytes`], copying its bytes
+    /// once into the new block.
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
+        Bytes::copy_from_slice(&self.data)
     }
 }
 
@@ -412,9 +461,10 @@ pub trait Buf {
 
     /// Copies the next `len` bytes into a fresh [`Bytes`], advancing.
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        let mut v = vec![0u8; len];
-        self.copy_to_slice(&mut v);
-        Bytes::from(v)
+        assert!(self.remaining() >= len, "buffer underflow");
+        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
+        self.advance(len);
+        out
     }
 }
 
@@ -440,7 +490,7 @@ impl Buf for Bytes {
     }
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "buffer underflow");
-        self.start += cnt;
+        self.start += cnt as u32;
     }
 }
 
@@ -524,6 +574,7 @@ mod tests {
         let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
+        assert!(Arc::ptr_eq(&s.data, &b.data));
         let head = b.split_to(2);
         assert_eq!(&head[..], &[1, 2]);
         assert_eq!(&b[..], &[3, 4, 5]);
@@ -538,6 +589,99 @@ mod tests {
         assert_eq!(two, [1, 2]);
         assert_eq!(rd.remaining(), 2);
         assert_eq!(rd.chunk(), &[3, 4]);
+    }
+
+    #[test]
+    fn handle_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 24);
+    }
+
+    #[test]
+    fn empty_buffers_share_one_block() {
+        let ptr = Bytes::new().as_ptr();
+        assert_eq!(Bytes::default().as_ptr(), ptr);
+        assert_eq!(Bytes::copy_from_slice(&[]).as_ptr(), ptr);
+        assert_eq!(Bytes::from(Vec::new()).as_ptr(), ptr);
+        assert_eq!(BytesMut::new().freeze().as_ptr(), ptr);
+        assert_eq!(std::iter::empty().collect::<Bytes>().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn from_vec_keeps_exactly_len_bytes() {
+        let mut v = Vec::with_capacity(100);
+        v.extend_from_slice(b"0123456789");
+        let b = Bytes::from(v);
+        assert_eq!(b.data.len(), 10);
+        assert_eq!(b, b"0123456789");
+        let s = Bytes::from(String::from("abc"));
+        assert_eq!((s.data.len(), &s[..]), (3, &b"abc"[..]));
+        let it: Bytes = (1..=4u8).collect();
+        assert_eq!((it.data.len(), &it[..]), (4, &[1, 2, 3, 4][..]));
+    }
+
+    #[test]
+    fn view_offset_accepts_up_to_u32_max() {
+        assert_eq!(view_offset(0), 0);
+        assert_eq!(view_offset(u32::MAX as usize), u32::MAX);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "exceeds the 4 GiB (u32::MAX) limit")]
+    fn view_offset_rejects_4_gib() {
+        view_offset(u32::MAX as usize + 1);
+    }
+
+    /// Applies seeded random `slice`/`split_to`/`split_off`/`advance`/
+    /// `clone` sequences to a `Bytes` and to a `Vec<u8>` model and
+    /// compares them after every step.
+    #[test]
+    fn views_match_a_vec_model() {
+        // splitmix64: a self-contained seeded stream.
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: usize| -> usize {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for _ in 0..200 {
+            let len = next(300);
+            let model: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let mut views = vec![(Bytes::from(model.clone()), model)];
+            for _ in 0..40 {
+                let i = next(views.len());
+                let (b, m) = &mut views[i];
+                let at = next(m.len() + 1);
+                match next(5) {
+                    0 => {
+                        let hi = at + next(m.len() - at + 1);
+                        let pair = (b.slice(at..hi), m[at..hi].to_vec());
+                        views.push(pair);
+                    }
+                    1 => {
+                        let pair = (b.split_to(at), m.drain(..at).collect());
+                        views.push(pair);
+                    }
+                    2 => {
+                        let pair = (b.split_off(at), m.split_off(at));
+                        views.push(pair);
+                    }
+                    3 => {
+                        b.advance(at);
+                        m.drain(..at);
+                    }
+                    _ => {
+                        let pair = (b.clone(), m.clone());
+                        views.push(pair);
+                    }
+                }
+                for (b, m) in &views {
+                    assert_eq!((b.len(), b.chunk()), (m.len(), &m[..]));
+                }
+            }
+        }
     }
 
     #[test]
