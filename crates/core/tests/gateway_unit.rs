@@ -1,16 +1,19 @@
 //! Unit tests for the gateway component in isolation: header insertion,
 //! fragmentation, proxy serialization, retransmission, and accounting.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 
 use lnic::gateway::{
-    Gateway, GatewayParams, RemoveWorkerEndpoints, RequestDone, SetPlacement, SubmitRequest,
-    WorkerEndpoint,
+    Gateway, GatewayParams, QueryStats, RegisterTenants, RemoveWorkerEndpoints, RequestDone,
+    SetPlacement, StatsReport, SubmitRequest, WorkerEndpoint,
 };
-use lnic_net::packet::{LambdaKind, Packet};
+use lnic_net::packet::{LambdaKind, Packet, RC_EXPIRED, RC_OVERLOADED};
 use lnic_net::params::MTU_PAYLOAD_BYTES;
 use lnic_net::{Ipv4Addr, MacAddr, SocketAddr};
 use lnic_sim::prelude::*;
+use lnic_tenant::{TenantDirectory, TenantSpec};
 
 /// Captures everything the gateway transmits.
 struct Wire {
@@ -333,4 +336,111 @@ fn set_placement_message_updates_routing() {
     let sent = &sim.get::<Wire>(wire).unwrap().sent;
     assert_eq!(sent[0].1.eth.dst, new_endpoint.mac);
     assert_eq!(sent[0].1.dst_addr(), new_endpoint.addr);
+}
+
+/// Captures stats reports.
+struct StatsSink {
+    reports: Vec<StatsReport>,
+}
+
+impl Component for StatsSink {
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: AnyMessage) {
+        self.reports.push(*msg.downcast::<StatsReport>().unwrap());
+    }
+}
+
+/// Answers the `index`-th request the gateway put on the wire with
+/// `return_code`, 10 µs from now.
+fn answer(
+    sim: &mut Simulation,
+    gw: ComponentId,
+    wire: ComponentId,
+    index: usize,
+    return_code: u16,
+) {
+    let req = sim.get::<Wire>(wire).unwrap().sent[index].1.clone();
+    let resp_hdr = req.lambda.unwrap().response_to(return_code);
+    let resp = req.reply_to().lambda(resp_hdr).build();
+    sim.post(gw, SimDuration::from_micros(10), resp);
+}
+
+#[test]
+fn query_stats_reports_only_the_completions_since_the_previous_query() {
+    let (mut sim, gw, wire, client) = setup(GatewayParams::default());
+    let stats = sim.add(StatsSink { reports: vec![] });
+    let query = |sim: &mut Simulation| {
+        sim.post(gw, SimDuration::ZERO, QueryStats { reply_to: stats });
+        sim.run_for(SimDuration::from_micros(1));
+    };
+    for token in 0..3 {
+        sim.post(gw, SimDuration::ZERO, submit(b"q", client, token));
+        sim.run_for(SimDuration::from_micros(50));
+    }
+    answer(&mut sim, gw, wire, 0, 0);
+    answer(&mut sim, gw, wire, 1, 0);
+    sim.run_for(SimDuration::from_micros(50));
+    query(&mut sim);
+    answer(&mut sim, gw, wire, 2, 0);
+    sim.run_for(SimDuration::from_micros(50));
+    query(&mut sim);
+    query(&mut sim);
+
+    let reports = &sim.get::<StatsSink>(stats).unwrap().reports;
+    let counts: Vec<Vec<(u32, usize)>> = reports
+        .iter()
+        .map(|r| r.workloads.iter().map(|(w, s, _)| (*w, s.count)).collect())
+        .collect();
+    assert_eq!(counts, vec![vec![(7, 2)], vec![(7, 1)], vec![]]);
+    // The per-workload latency series keeps every completion.
+    assert_eq!(sim.get::<Gateway>(gw).unwrap().latency(7).unwrap().len(), 3);
+}
+
+#[test]
+fn expired_reply_fails_the_request_and_frees_its_tenant_slot() {
+    let (mut sim, gw, wire, client) = setup(GatewayParams::default());
+    let mut dir = TenantDirectory::new();
+    dir.register(
+        1,
+        TenantSpec {
+            max_in_flight: 1,
+            ..TenantSpec::default()
+        },
+    );
+    dir.assign(7, 1);
+    sim.post(
+        gw,
+        SimDuration::ZERO,
+        RegisterTenants { dir: Arc::new(dir) },
+    );
+    sim.post(gw, SimDuration::ZERO, submit(b"a", client, 1));
+    // The tenant's one in-flight slot is held: this submit is shed.
+    sim.post(gw, SimDuration::from_micros(1), submit(b"b", client, 2));
+    sim.run_for(SimDuration::from_micros(50));
+    answer(&mut sim, gw, wire, 0, RC_EXPIRED);
+    sim.run_for(SimDuration::from_micros(50));
+    // The expired reply released the slot: this submit is admitted.
+    sim.post(gw, SimDuration::ZERO, submit(b"c", client, 3));
+    sim.run_for(SimDuration::from_micros(50));
+
+    let done = &sim.get::<Client>(client).unwrap().done;
+    let outcomes: Vec<(u64, bool, Option<u16>)> = done
+        .iter()
+        .map(|(_, d)| (d.token, d.failed, d.return_code))
+        .collect();
+    assert_eq!(
+        outcomes,
+        vec![(2, true, Some(RC_OVERLOADED)), (1, true, Some(RC_EXPIRED))]
+    );
+    assert_eq!(
+        sim.get::<Wire>(wire).unwrap().sent.len(),
+        2,
+        "token 3 admitted"
+    );
+    let c = sim.get::<Gateway>(gw).unwrap().counters();
+    assert_eq!((c.expired, c.failed, c.completed), (1, 1, 0));
+    assert_eq!(c.tenant_quota_shed, 1);
+    assert!(
+        sim.get::<Gateway>(gw).unwrap().latency(7).is_none(),
+        "no sample for a failure"
+    );
 }

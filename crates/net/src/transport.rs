@@ -134,9 +134,10 @@ impl RetryPolicy {
     }
 }
 
-/// Sender-side record of one in-flight RPC.
+/// Sender-side record of one in-flight RPC, with the caller's own
+/// per-request state `M` carried alongside.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Outstanding {
+pub struct Outstanding<M = ()> {
     /// The targeted lambda.
     pub workload_id: u32,
     /// Where the request was sent (updated when a retransmission is
@@ -148,21 +149,27 @@ pub struct Outstanding {
     pub first_sent_at: SimTime,
     /// Attempts sent so far (1 = original only).
     pub attempts: u32,
+    /// The caller's metadata, registered with the request and returned
+    /// with the record on every terminal path.
+    pub meta: M,
 }
 
 /// What the caller should do when a retransmission timer fires.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TimeoutAction {
+pub enum TimeoutAction<M = ()> {
     /// Resend the recorded payload and arm another timer.
-    Resend(Outstanding),
+    Resend(Outstanding<M>),
     /// Retry budget (attempts or deadline) exhausted: report failure
     /// upstream.
-    GiveUp(Outstanding),
+    GiveUp(Outstanding<M>),
     /// The RPC already completed; ignore the stale timer.
     Ignore,
 }
 
 /// Sender-side tracker for the weakly-consistent transport.
+///
+/// Each in-flight request has exactly one record, which also carries
+/// the caller's metadata `M`, so the caller keeps no map of its own.
 ///
 /// # Examples
 ///
@@ -174,28 +181,26 @@ pub enum TimeoutAction {
 ///
 /// let mut t = RpcTracker::new(SimDuration::from_millis(1), 3);
 /// let dst = SocketAddr::new(Ipv4Addr::node(2), 9000);
-/// let id = t.register(SimTime::ZERO, 7, dst, Bytes::from_static(b"req"));
+/// let id = t.register(SimTime::ZERO, 7, dst, Bytes::from_static(b"req"), "caller state");
 ///
 /// // The response arrives before the timer: completion returns the record.
 /// let done = t.on_response(id).expect("first response completes the RPC");
 /// assert_eq!(done.workload_id, 7);
+/// assert_eq!(done.meta, "caller state");
 /// // A duplicate response is ignored.
 /// assert!(t.on_response(id).is_none());
 /// // The stale timer is ignored too.
 /// assert_eq!(t.on_timeout(SimTime::ZERO, id), TimeoutAction::Ignore);
 /// ```
 #[derive(Debug)]
-pub struct RpcTracker {
+pub struct RpcTracker<M = ()> {
     policy: RetryPolicy,
     next_id: u64,
-    outstanding: HashMap<u64, Outstanding>,
-    completed: u64,
-    retransmitted: u64,
-    failed: u64,
+    outstanding: HashMap<u64, Outstanding<M>>,
     duplicates: u64,
 }
 
-impl RpcTracker {
+impl<M> RpcTracker<M> {
     /// Creates a tracker with a fixed retransmission `timeout` and a
     /// total attempt budget of `max_attempts` (>= 1).
     ///
@@ -217,9 +222,6 @@ impl RpcTracker {
             policy,
             next_id: 1,
             outstanding: HashMap::new(),
-            completed: 0,
-            retransmitted: 0,
-            failed: 0,
             duplicates: 0,
         }
     }
@@ -250,14 +252,14 @@ impl RpcTracker {
     }
 
     /// The in-flight record for `request_id`, if still outstanding.
-    pub fn get(&self, request_id: u64) -> Option<&Outstanding> {
+    pub fn get(&self, request_id: u64) -> Option<&Outstanding<M>> {
         self.outstanding.get(&request_id)
     }
 
-    /// The timer armed after the first send (pre-jitter). Kept for
-    /// callers that only need the fixed-policy value.
-    pub fn timeout(&self) -> SimDuration {
-        self.policy.base_timeout
+    /// The in-flight record for `request_id`, mutably (the caller
+    /// updates its metadata in place).
+    pub fn get_mut(&mut self, request_id: u64) -> Option<&mut Outstanding<M>> {
+        self.outstanding.get_mut(&request_id)
     }
 
     /// The timer to arm at `now` for `request_id`'s most recent send,
@@ -280,13 +282,15 @@ impl RpcTracker {
         }
     }
 
-    /// Registers a new RPC and returns its request id.
+    /// Registers a new RPC carrying the caller's `meta` and returns its
+    /// request id.
     pub fn register(
         &mut self,
         now: SimTime,
         workload_id: u32,
         dst: SocketAddr,
         payload: Bytes,
+        meta: M,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -298,6 +302,7 @@ impl RpcTracker {
                 payload,
                 first_sent_at: now,
                 attempts: 1,
+                meta,
             },
         );
         id
@@ -311,48 +316,54 @@ impl RpcTracker {
         }
     }
 
-    /// Retires a pending RPC *without* recording a completion — handoff
-    /// semantics: the caller surrenders the in-flight record (e.g. to a
-    /// peer adopting the request), but the id sequence and completion
-    /// counters are untouched, so ids are never reused and a late reply
-    /// for the retired id still counts as a duplicate.
-    pub fn abandon(&mut self, request_id: u64) -> Option<Outstanding> {
+    /// Retires a pending RPC *without* a response — the caller takes the
+    /// record (a handoff to a peer, or a failure it reports itself), but
+    /// the id sequence is untouched, so ids are never reused and a late
+    /// reply for the retired id still counts as a duplicate.
+    pub fn abandon(&mut self, request_id: u64) -> Option<Outstanding<M>> {
         self.outstanding.remove(&request_id)
     }
 
-    /// Drops every pending RPC — crash semantics: all in-flight state is
-    /// lost, but the id sequence survives so post-restart requests never
-    /// collide with pre-crash ones. Returns the abandoned ids, sorted.
-    pub fn abandon_all(&mut self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.outstanding.keys().copied().collect();
-        ids.sort_unstable();
-        self.outstanding.clear();
-        ids
+    /// Retires every pending RPC — crash or drain semantics — and returns
+    /// the records sorted by id. The id sequence survives, so later
+    /// requests never collide with the abandoned ones.
+    pub fn abandon_all(&mut self) -> Vec<(u64, Outstanding<M>)> {
+        let mut records: Vec<(u64, Outstanding<M>)> = self.outstanding.drain().collect();
+        records.sort_unstable_by_key(|(id, _)| *id);
+        records
     }
 
     /// Records a response. Returns the completed record for the first
     /// response of each request and `None` for duplicates or unknown ids.
-    pub fn on_response(&mut self, request_id: u64) -> Option<Outstanding> {
-        match self.outstanding.remove(&request_id) {
-            Some(rec) => {
-                self.completed += 1;
-                Some(rec)
-            }
-            None => {
-                self.duplicates += 1;
-                None
-            }
+    pub fn on_response(&mut self, request_id: u64) -> Option<Outstanding<M>> {
+        let rec = self.outstanding.remove(&request_id);
+        if rec.is_none() {
+            self.duplicates += 1;
         }
+        rec
     }
 
+    /// Number of RPCs currently awaiting a response.
+    pub fn in_flight(&self) -> usize {
+        self.outstanding.len()
+    }
+
+    /// Duplicate or unsolicited responses observed.
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates
+    }
+}
+
+impl<M: Clone> RpcTracker<M> {
     /// Handles a retransmission timer for `request_id` firing at `now`.
     ///
     /// Gives up when the attempt budget is exhausted, the policy
     /// deadline has passed, or the *next* timer would only fire past
     /// the deadline (a retransmission whose follow-up cannot complete
-    /// inside the deadline is pure wasted load); otherwise returns the
-    /// record to resend with its attempt count already incremented.
-    pub fn on_timeout(&mut self, now: SimTime, request_id: u64) -> TimeoutAction {
+    /// inside the deadline is pure wasted load); otherwise returns a
+    /// copy of the record to resend with its attempt count already
+    /// incremented.
+    pub fn on_timeout(&mut self, now: SimTime, request_id: u64) -> TimeoutAction<M> {
         let Some(rec) = self.outstanding.get_mut(&request_id) else {
             return TimeoutAction::Ignore;
         };
@@ -363,38 +374,11 @@ impl RpcTracker {
         });
         if over_deadline || retries_exhausted(rec.attempts, self.policy.max_attempts) {
             let rec = self.outstanding.remove(&request_id).expect("checked above");
-            self.failed += 1;
             TimeoutAction::GiveUp(rec)
         } else {
             rec.attempts += 1;
-            self.retransmitted += 1;
             TimeoutAction::Resend(rec.clone())
         }
-    }
-
-    /// Number of RPCs currently awaiting a response.
-    pub fn in_flight(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Successfully completed RPCs.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Retransmissions sent.
-    pub fn retransmitted(&self) -> u64 {
-        self.retransmitted
-    }
-
-    /// RPCs that exhausted their attempt budget.
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
-    /// Duplicate or unsolicited responses observed.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 }
 
@@ -416,8 +400,8 @@ mod tests {
     #[test]
     fn ids_are_unique_and_monotonic() {
         let mut t = tracker();
-        let a = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
-        let b = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let a = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
+        let b = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         assert!(b > a);
         assert_eq!(t.in_flight(), 2);
     }
@@ -426,8 +410,8 @@ mod tests {
     fn id_base_offsets_the_sequence() {
         let base = 3u64 << 48;
         let mut t = tracker().with_id_base(base);
-        let a = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
-        let b = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let a = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
+        let b = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         assert_eq!(a, base + 1);
         assert_eq!(b, base + 2);
         assert_eq!(a >> 48, 3, "gateway index recoverable from the id");
@@ -437,14 +421,14 @@ mod tests {
     #[should_panic(expected = "before any id is issued")]
     fn id_base_after_first_issue_panics() {
         let mut t = tracker();
-        let _ = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let _ = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         let _ = t.with_id_base(1 << 48);
     }
 
     #[test]
     fn timeout_resends_until_budget_then_gives_up() {
         let mut t = tracker();
-        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::from_static(b"p"));
+        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::from_static(b"p"), ());
 
         match t.on_timeout(SimTime::ZERO, id) {
             TimeoutAction::Resend(rec) => assert_eq!(rec.attempts, 2),
@@ -461,8 +445,6 @@ mod tests {
             }
             other => panic!("expected give-up, got {other:?}"),
         }
-        assert_eq!(t.failed(), 1);
-        assert_eq!(t.retransmitted(), 2);
         assert_eq!(t.in_flight(), 0);
     }
 
@@ -479,7 +461,7 @@ mod tests {
 
         // And the tracker gives up on exactly the max_attempts-th timer.
         let mut t = RpcTracker::new(SimDuration::from_millis(1), 3);
-        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         let mut resends = 0;
         loop {
             match t.on_timeout(SimTime::ZERO, id) {
@@ -497,7 +479,7 @@ mod tests {
     #[test]
     fn late_response_after_giveup_counts_as_duplicate() {
         let mut t = RpcTracker::new(SimDuration::from_millis(1), 1);
-        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         assert!(matches!(
             t.on_timeout(SimTime::ZERO, id),
             TimeoutAction::GiveUp(_)
@@ -509,26 +491,24 @@ mod tests {
     #[test]
     fn duplicate_response_after_completion_is_counted_not_replayed() {
         let mut t = tracker();
-        let id = t.register(SimTime::ZERO, 4, dst(), Bytes::from_static(b"q"));
+        let id = t.register(SimTime::ZERO, 4, dst(), Bytes::from_static(b"q"), ());
         assert!(t.on_response(id).is_some());
         // The retransmitted copy's response lands later: ignored.
         assert!(t.on_response(id).is_none());
         assert!(t.on_response(id).is_none());
-        assert_eq!(t.completed(), 1);
         assert_eq!(t.duplicates(), 2);
     }
 
     #[test]
     fn response_then_timeout_is_ignored() {
         let mut t = tracker();
-        let id = t.register(SimTime::from_nanos(5), 9, dst(), Bytes::new());
+        let id = t.register(SimTime::from_nanos(5), 9, dst(), Bytes::new(), ());
         let rec = t.on_response(id).unwrap();
         assert_eq!(rec.first_sent_at, SimTime::from_nanos(5));
         assert_eq!(
             t.on_timeout(SimTime::from_nanos(5), id),
             TimeoutAction::Ignore
         );
-        assert_eq!(t.completed(), 1);
     }
 
     #[test]
@@ -595,7 +575,7 @@ mod tests {
         let mut policy = RetryPolicy::fixed(SimDuration::from_millis(1), 100);
         policy.deadline = Some(SimDuration::from_millis(3));
         let mut t = RpcTracker::with_policy(policy);
-        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         // Timers at 1 ms and 2 ms resend; the 3 ms timer hits the
         // deadline with 97 attempts unspent.
         assert!(matches!(
@@ -610,7 +590,6 @@ mod tests {
             TimeoutAction::GiveUp(rec) => assert_eq!(rec.attempts, 3),
             other => panic!("expected deadline give-up, got {other:?}"),
         }
-        assert_eq!(t.failed(), 1);
     }
 
     #[test]
@@ -621,7 +600,7 @@ mod tests {
         let mut policy = RetryPolicy::fixed(SimDuration::from_millis(1), 100);
         policy.deadline = Some(SimDuration::from_millis(3));
         let mut t = RpcTracker::with_policy(policy);
-        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         // Fires at 2 ms: next timer lands exactly at the 3 ms deadline.
         assert!(matches!(
             t.on_timeout(SimTime::ZERO + SimDuration::from_millis(2), id),
@@ -645,10 +624,10 @@ mod tests {
         let t2 = RpcTracker::with_policy(policy);
         let mut t2 = {
             let mut t2 = t2;
-            let _ = t2.register(SimTime::ZERO, 1, dst(), Bytes::new());
+            let _ = t2.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
             t2
         };
-        let id2 = t2.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let id2 = t2.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..64 {
             let timer =
@@ -663,7 +642,7 @@ mod tests {
     #[test]
     fn redirect_retargets_future_resends() {
         let mut t = tracker();
-        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new());
+        let id = t.register(SimTime::ZERO, 1, dst(), Bytes::new(), ());
         let new_dst = SocketAddr::new(Ipv4Addr::node(9), 8000);
         t.redirect(id, new_dst);
         match t.on_timeout(SimTime::ZERO, id) {
@@ -678,6 +657,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one attempt")]
     fn zero_attempts_rejected() {
-        let _ = RpcTracker::new(SimDuration::ZERO, 0);
+        let _ = RpcTracker::<()>::new(SimDuration::ZERO, 0);
     }
 }

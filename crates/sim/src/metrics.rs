@@ -88,13 +88,7 @@ impl Series {
     ///
     /// Panics if `q` is outside `0.0..=1.0`.
     pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.samples_ns.is_empty() {
-            return None;
-        }
-        let mut samples = self.samples_ns.clone();
-        let rank = nearest_rank(q, samples.len());
-        Some(*samples.select_nth_unstable(rank).1)
+        quantile_ns(&self.samples_ns, q)
     }
 
     /// Merges another series' samples into this one.
@@ -116,6 +110,23 @@ impl FromIterator<SimDuration> for Series {
         s.extend(iter);
         s
     }
+}
+
+/// The `q`-quantile (0.0 ..= 1.0) of raw nanosecond `samples` by
+/// nearest rank, or `None` when empty; [`Series::quantile_ns`] over a
+/// slice, such as the samples since some index.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `0.0..=1.0`.
+pub fn quantile_ns(samples: &[u64], q: f64) -> Option<u64> {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range");
+    if samples.is_empty() {
+        return None;
+    }
+    let mut samples = samples.to_vec();
+    let rank = nearest_rank(q, samples.len());
+    Some(*samples.select_nth_unstable(rank).1)
 }
 
 /// Zero-based index of the `q`-quantile under the nearest-rank convention:
