@@ -544,6 +544,9 @@ struct PendingClient {
     owner: u32,
     /// Re-route attempts so far.
     reroutes: u32,
+    /// When the request was last sent to a shard: the watchdog resubmits
+    /// only after a full `resubmit_timeout` of silence since then.
+    dispatched_at: SimTime,
 }
 
 /// The tier's client-facing router: consistent-hash dispatch, duplicate
@@ -621,12 +624,14 @@ impl ShardRouter {
         uids
     }
 
-    /// Sends the pending request `uid` to its owner shard.
+    /// Sends the pending request `uid` to its owner shard, restarting
+    /// its watchdog period.
     fn dispatch(&mut self, ctx: &mut Ctx<'_>, uid: u64) {
         let self_id = ctx.self_id();
-        let Some(p) = self.pending.get(&uid) else {
+        let Some(p) = self.pending.get_mut(&uid) else {
             return;
         };
+        p.dispatched_at = ctx.now();
         let gw = self.gateways[p.owner as usize];
         ctx.send(
             gw,
@@ -661,6 +666,7 @@ impl ShardRouter {
                 token: req.token,
                 owner,
                 reroutes: 0,
+                dispatched_at: ctx.now(),
             },
         );
         self.dispatch(ctx, uid);
@@ -751,8 +757,16 @@ impl ShardRouter {
     }
 
     fn on_resubmit_check(&mut self, ctx: &mut Ctx<'_>, uid: u64) {
-        if !self.pending.contains_key(&uid) {
+        let Some(p) = self.pending.get(&uid) else {
             return; // delivered; watchdog retires
+        };
+        // Re-sent since this check was armed (a map change, a readopt or
+        // a bounce retry): wait out a full period from that dispatch, or
+        // the watchdog would race the copy it just sent.
+        let quiet_until = p.dispatched_at + self.cfg.resubmit_timeout;
+        if ctx.now() < quiet_until {
+            ctx.send_self(quiet_until - ctx.now(), ResubmitCheck { uid });
+            return;
         }
         // Still pending after a full watchdog period: the submit or its
         // completion was swallowed (partition, crash without a map
