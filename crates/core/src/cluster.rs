@@ -48,35 +48,6 @@ pub enum EngineMode {
 }
 
 impl EngineMode {
-    /// Reads the engine mode from `LNIC_ENGINE`: `serial` (or unset) for
-    /// the serialized loop, `sharded` for the sharded engine on one
-    /// thread, `sharded:N` for N threads. Unrecognized values fall back
-    /// to `Serial` so stray environments never change results silently.
-    pub fn from_env() -> Self {
-        match std::env::var("LNIC_ENGINE") {
-            Ok(v) => Self::parse(&v).unwrap_or(EngineMode::Serial),
-            Err(_) => EngineMode::Serial,
-        }
-    }
-
-    /// Parses `serial`, `sharded`, or `sharded:N`.
-    pub fn parse(v: &str) -> Option<Self> {
-        let v = v.trim();
-        if v.eq_ignore_ascii_case("serial") {
-            return Some(EngineMode::Serial);
-        }
-        if v.eq_ignore_ascii_case("sharded") {
-            return Some(EngineMode::Sharded { threads: 1 });
-        }
-        let rest = v
-            .strip_prefix("sharded:")
-            .or_else(|| v.strip_prefix("SHARDED:"))?;
-        let threads: usize = rest.parse().ok()?;
-        Some(EngineMode::Sharded {
-            threads: threads.max(1),
-        })
-    }
-
     /// Whether this mode runs the serialized legacy loop.
     pub fn is_serial(self) -> bool {
         matches!(self, EngineMode::Serial)
@@ -115,10 +86,8 @@ pub struct TestbedConfig {
     /// run-to-completion, WFQ weight bounds, memory cost consistency —
     /// so every test run doubles as a correctness gate.
     pub check_invariants: bool,
-    /// Which simulation engine to run on (default: `LNIC_ENGINE` env
-    /// var, falling back to [`EngineMode::Serial`]). One knob flips
-    /// every test and bench between the serialized and the sharded
-    /// parallel engine.
+    /// Which simulation engine to run on (default:
+    /// [`EngineMode::Serial`]).
     pub engine: EngineMode,
 }
 
@@ -137,7 +106,7 @@ impl TestbedConfig {
             control_plane: false,
             hybrid: false,
             check_invariants: true,
-            engine: EngineMode::from_env(),
+            engine: EngineMode::Serial,
         }
     }
 
@@ -178,8 +147,7 @@ impl TestbedConfig {
         self
     }
 
-    /// Selects the simulation engine, overriding the `LNIC_ENGINE`
-    /// environment default.
+    /// Selects the simulation engine (default: [`EngineMode::Serial`]).
     pub fn engine(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
         self

@@ -1,14 +1,12 @@
-//! Shared helpers for the integration suite: the engine-mode knob,
-//! testbed-construction boilerplate, golden-hash file IO, and
-//! divergence artifacts for CI.
+//! Shared helpers for the integration suite: testbed-construction
+//! boilerplate, golden-hash file IO, and divergence artifacts for CI.
 //!
-//! Every testbed built through [`TestbedConfig::new`] already honours
-//! `LNIC_ENGINE` (serial / sharded / sharded:N), so the whole suite
-//! flips engines with one environment variable. The helpers here close
-//! the remaining gaps: guarding pinned *serial* goldens when the suite
-//! runs elsewhere, deduplicating the resilient-gateway config and
-//! driver spawn blocks, and giving the equivalence suite one place to
-//! read, pin, and diff golden hashes.
+//! Every testbed built through [`TestbedConfig::new`] runs on the
+//! serial engine; suites that need the sharded engine select it with
+//! [`TestbedConfig::engine`]. The helpers here guard pinned *serial*
+//! goldens when a seed sweep moves every seed, deduplicate the
+//! resilient-gateway config and driver spawn blocks, and give the
+//! equivalence suite one place to read, pin, and diff golden hashes.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -17,22 +15,11 @@ use std::sync::Arc;
 use lnic::prelude::*;
 use lnic_sim::prelude::*;
 
-/// The engine the suite is running on, from `LNIC_ENGINE`. This is the
-/// mode [`TestbedConfig::new`] will build with — the single knob the
-/// issue asks for.
-pub fn engine_mode() -> EngineMode {
-    EngineMode::from_env()
-}
-
 /// Whether checks against *pinned serial* golden hashes are meaningful
 /// in this environment. They are not when a CI seed sweep moved every
-/// seed (`LNIC_SEED_OFFSET != 0`) or when the suite runs on the sharded
-/// engine (`LNIC_ENGINE`), whose traces are a different — separately
-/// pinned — deterministic universe (zero-delay cross-shard control
-/// messages are floored to the lookahead, so timings differ from the
-/// serial schedule).
+/// seed (`LNIC_SEED_OFFSET != 0`).
 pub fn serial_golden_checks_enabled() -> bool {
-    seed_offset() == 0 && engine_mode().is_serial()
+    seed_offset() == 0
 }
 
 /// The resilient NIC testbed used by every chaos/failover scenario:

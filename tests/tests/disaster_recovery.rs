@@ -570,7 +570,7 @@ const GOLDENS_FILE: &str = "disaster_hashes.txt";
 #[test]
 fn disaster_trace_hashes_match_pinned_goldens() {
     if !serial_golden_checks_enabled() || soak_factor() != 1 {
-        eprintln!("skipping pinned serial-golden check (seed offset, engine, or soak)");
+        eprintln!("skipping pinned serial-golden check (seed offset or soak)");
         return;
     }
     if goldens::update_requested() {

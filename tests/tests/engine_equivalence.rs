@@ -302,8 +302,7 @@ fn web3_ctrl_chaos_is_thread_count_invariant() {
 /// ```
 #[test]
 fn sharded_trace_hashes_match_pinned_goldens() {
-    // These runs force the sharded engine regardless of LNIC_ENGINE,
-    // but the pinned values are still tied to the configured seeds.
+    // The pinned values are tied to the configured seeds.
     if seed_offset() != 0 {
         eprintln!("skipping pinned sharded-golden check under LNIC_SEED_OFFSET");
         return;

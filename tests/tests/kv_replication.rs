@@ -283,7 +283,7 @@ const GOLDENS_FILE: &str = "kv_replication_hashes.txt";
 #[test]
 fn repkv_trace_hashes_match_pinned_goldens() {
     if !serial_golden_checks_enabled() {
-        eprintln!("skipping pinned serial-golden check (seed offset or non-serial engine)");
+        eprintln!("skipping pinned serial-golden check under LNIC_SEED_OFFSET");
         return;
     }
     if goldens::update_requested() {

@@ -249,13 +249,12 @@ fn different_seeds_diverge() {
 #[test]
 fn trace_hashes_match_pinned_goldens() {
     // The pinned values are tied to the configured seeds on the serial
-    // engine; a CI seed sweep (LNIC_SEED_OFFSET != 0) or the sharded
-    // engine (LNIC_ENGINE) legitimately lands elsewhere — the sharded
-    // universe is pinned separately by `engine_equivalence`. The
-    // determinism and sensitivity tests above still run under every
-    // offset and engine.
+    // engine; a CI seed sweep (LNIC_SEED_OFFSET != 0) legitimately lands
+    // elsewhere. The sharded universe is pinned separately by
+    // `engine_equivalence`. The determinism and sensitivity tests above
+    // still run under every offset.
     if !serial_golden_checks_enabled() {
-        eprintln!("skipping pinned serial-golden check (seed offset or non-serial engine)");
+        eprintln!("skipping pinned serial-golden check under LNIC_SEED_OFFSET");
         return;
     }
     if goldens::update_requested() {
