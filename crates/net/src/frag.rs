@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::packet::LambdaHdr;
 
@@ -172,15 +172,15 @@ impl Reassembler {
             .partials
             .remove(&hdr.request_id)
             .expect("just inserted");
-        let total = partial.received.iter().flatten().map(Bytes::len).sum();
-        let mut payload = BytesMut::with_capacity(total);
-        for frag in partial.received.into_iter() {
-            payload.extend_from_slice(&frag.expect("all fragments received"));
-        }
+        let frags: Vec<Bytes> = partial
+            .received
+            .into_iter()
+            .map(|frag| frag.expect("all fragments received"))
+            .collect();
         Some(Reassembled {
             request_id: hdr.request_id,
             workload_id: partial.workload_id,
-            payload: payload.freeze(),
+            payload: Bytes::from_slices(&frags),
             out_of_order_frags: partial.out_of_order,
             reorder_instrs: partial.out_of_order * REORDER_INSTRS_PER_FRAGMENT,
         })
